@@ -10,7 +10,8 @@ can swap them transparently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -96,6 +97,26 @@ class ThermoOpticPhaseShifter(PhaseShifter):
         return self.static_power() * self.response_time
 
 
+@lru_cache(maxsize=256)
+def pcm_phase_levels(
+    material: PCMMaterial, n_levels: int, confinement: float, patch_length: float
+) -> np.ndarray:
+    """Reachable phase values [rad] of a multilevel PCM patch, one per level.
+
+    A pure function of its four (hashable) inputs, so the table is computed
+    once per configuration and shared; the returned array is read-only.
+    """
+    fractions = material.level_fractions(n_levels)
+    levels = np.array(
+        [
+            abs(material.phase_shift_per_length(f, confinement) * patch_length)
+            for f in fractions
+        ]
+    )
+    levels.setflags(write=False)
+    return levels
+
+
 @dataclass
 class PCMPhaseShifter(PhaseShifter):
     """Non-volatile multilevel PCM phase shifter.
@@ -113,8 +134,11 @@ class PCMPhaseShifter(PhaseShifter):
             energy).
         confinement: modal overlap with the PCM patch.
         n_levels: number of programmable levels.
-        full_range_phase: phase reached at 100% crystallisation [rad].
-            If ``None`` it is derived from the material and geometry.
+
+    The reachable phases (:attr:`phase_levels`) and the phase reached at
+    100% crystallisation (:attr:`full_range_phase`) are looked up from the
+    current material and geometry on every read, so they follow later
+    changes to these fields.
     """
 
     material: PCMMaterial = field(default_factory=lambda: GSST)
@@ -122,7 +146,6 @@ class PCMPhaseShifter(PhaseShifter):
     patch_cross_section_um2: float = 0.08
     confinement: float = 0.1
     n_levels: int = 16
-    full_range_phase: Optional[float] = None
     insertion_loss_db: float = 0.1
 
     def __post_init__(self):
@@ -131,11 +154,6 @@ class PCMPhaseShifter(PhaseShifter):
             raise ValueError("a PCM phase shifter needs at least 2 levels")
         if self.patch_length <= 0.0:
             raise ValueError("patch_length must be positive")
-        if self.full_range_phase is None:
-            self.full_range_phase = abs(
-                self.material.phase_shift_per_length(1.0, self.confinement)
-                * self.patch_length
-            )
         self._level = 0
         self._crystalline_fraction = 0.0
         # Re-apply the initial phase through the quantiser.
@@ -157,17 +175,15 @@ class PCMPhaseShifter(PhaseShifter):
 
     @property
     def phase_levels(self) -> np.ndarray:
-        """The reachable phase values [rad], one per level."""
-        fractions = self.material.level_fractions(self.n_levels)
-        return np.array(
-            [
-                abs(
-                    self.material.phase_shift_per_length(f, self.confinement)
-                    * self.patch_length
-                )
-                for f in fractions
-            ]
+        """The reachable phase values [rad], one per level (read-only)."""
+        return pcm_phase_levels(
+            self.material, self.n_levels, self.confinement, self.patch_length
         )
+
+    @property
+    def full_range_phase(self) -> float:
+        """Phase reached at 100% crystallisation [rad] (the top level)."""
+        return float(self.phase_levels[-1])
 
     def set_phase(self, phase: float) -> float:
         """Program the closest reachable phase level.

@@ -2,9 +2,9 @@
 
 The vectorized kernels (O(N^3) mesh forward model, batched MVM datapath,
 array-backed SNN synapses) must implement *the same physics* as the
-original per-element formulations.  Every test here pits a vectorized path
-against a straightforward composed/looped reference and demands agreement
-to machine precision.
+original per-element formulations.  Every test here pits a vectorized or
+cached path against a straightforward composed/looped reference and
+demands agreement to machine precision.
 """
 
 import numpy as np
@@ -14,6 +14,8 @@ from repro.core.gemm import TDMGeMM
 from repro.core.mvm import PhotonicMVM
 from repro.core.quantization import QuantizationSpec
 from repro.devices.mzi import ideal_mzi_matrix, physical_mzi_matrix
+from repro.devices.phase_shifter import PCMPhaseShifter, pcm_phase_levels
+from repro.materials.pcm import GESE, GSST, GST225, PCMMaterial
 from repro.mesh.base import MeshErrorModel
 from repro.mesh.clements import ClementsMesh
 from repro.mesh.reck import ReckMesh
@@ -22,6 +24,7 @@ from repro.snn.network import PhotonicSNN
 from repro.snn.neuron import PhotonicLIFNeuron
 from repro.snn.stdp import STDPRule
 from repro.snn.synapse import PhotonicSynapse
+from repro.system import PhotonicSoC
 from repro.utils.linalg import random_unitary
 
 
@@ -420,3 +423,134 @@ class TestSNNArrayEquivalence:
         vectorized = rule.weight_changes(deltas)
         scalars = np.array([rule.weight_change(float(d)) for d in deltas])
         assert np.allclose(vectorized, scalars, atol=0, rtol=0)
+
+
+def reference_phase_levels(material, n_levels, confinement, patch_length):
+    """The original level-by-level table: two scalar index evaluations per level."""
+    return np.array(
+        [
+            abs(material.phase_shift_per_length(f, confinement) * patch_length)
+            for f in material.level_fractions(n_levels)
+        ]
+    )
+
+
+def reference_level(levels, phase):
+    """Level index the original quantiser picked for ``phase``."""
+    requested = float(np.mod(phase, 2.0 * np.pi))
+    reachable = np.minimum(requested, levels[-1]) if levels[-1] > 0 else 0.0
+    return int(np.argmin(np.abs(levels - reachable)))
+
+
+PCM_CONFIGS = [
+    (material, n_levels, confinement)
+    for material in (GSST, GESE, GST225)
+    for n_levels in (2, 4, 8, 16, 64)
+    for confinement in (0.05, 0.1, 0.3)
+]
+
+
+class TestCachedPCMPhaseLevels:
+    @pytest.mark.parametrize("material,n_levels,confinement", PCM_CONFIGS)
+    def test_shifter_matches_scalar_reference(self, material, n_levels, confinement):
+        patch_length = 9e-6
+        shifter = PCMPhaseShifter(
+            material=material, n_levels=n_levels, confinement=confinement
+        )
+        levels = reference_phase_levels(material, n_levels, confinement, patch_length)
+        np.testing.assert_array_equal(shifter.phase_levels, levels)
+        assert shifter.phase_levels.dtype == np.float64
+        full_range = abs(
+            material.phase_shift_per_length(1.0, confinement) * patch_length
+        )
+        assert shifter.full_range_phase == full_range
+
+        switching = material.switching_energy(
+            shifter.patch_cross_section_um2 * patch_length * 1e6
+        )
+        fractions = material.level_fractions(n_levels)
+        for phase in np.linspace(-7.0, 14.0, 43):
+            level = reference_level(levels, phase)
+            assert shifter.quantize(phase) == levels[level]
+            previous_phase = shifter.phase
+            assert shifter.set_phase(phase) == levels[level]
+            assert shifter.level == level
+            assert shifter.crystalline_fraction == fractions[level]
+            alpha = material.absorption_per_length(fractions[level], confinement)
+            loss = shifter.insertion_loss_db + max(
+                10.0 * np.log10(np.e) * alpha * patch_length, 0.0
+            )
+            assert shifter.total_loss_db == loss
+            assert shifter.programming_energy() == switching
+            unchanged = reference_level(levels, previous_phase) == level
+            expected = 0.0 if unchanged else switching
+            assert shifter.programming_energy(previous_phase) == expected
+
+    def test_table_is_read_only_and_shared(self):
+        shifter = PCMPhaseShifter()
+        levels = shifter.phase_levels
+        assert not levels.flags.writeable
+        with pytest.raises(ValueError):
+            levels[0] = 1.0
+        assert PCMPhaseShifter().phase_levels is levels
+        assert pcm_phase_levels(GSST, 16, 0.1, 9e-6) is levels
+
+    @pytest.mark.parametrize(
+        "name,value", [("n_levels", 5), ("confinement", 0.25), ("patch_length", 4e-6)]
+    )
+    def test_live_field_change_reads_the_new_table(self, name, value):
+        shifter = PCMPhaseShifter()
+        before = shifter.phase_levels.copy()
+        setattr(shifter, name, value)
+        expected = reference_phase_levels(
+            shifter.material, shifter.n_levels, shifter.confinement, shifter.patch_length
+        )
+        assert not np.array_equal(before, expected)
+        np.testing.assert_array_equal(shifter.phase_levels, expected)
+        assert shifter.full_range_phase == expected[-1]
+        assert shifter.quantize(np.pi / 3) == expected[reference_level(expected, np.pi / 3)]
+
+    def test_full_range_phase_is_not_an_init_field(self):
+        with pytest.raises(TypeError):
+            PCMPhaseShifter(full_range_phase=1.0)
+
+
+def make_two_pe_soc():
+    soc = PhotonicSoC()
+    for _ in range(2):
+        soc.add_photonic_accelerator()
+    return soc
+
+
+class TestWarmSoCOffloadSkipsPCMTable:
+    def test_warm_offload_makes_no_index_calls_and_matches_cold(self, monkeypatch):
+        weights = np.arange(16 * 12, dtype=np.int64).reshape(16, 12) % 7 - 3
+        inputs = np.arange(12 * 4, dtype=np.int64).reshape(12, 4) % 5 - 2
+        cold_soc = make_two_pe_soc()
+        cold = []
+        for _ in range(2):
+            pcm_phase_levels.cache_clear()
+            cold.append(cold_soc.run_tiled_gemm(weights, inputs))
+
+        calls = []
+        original = PCMMaterial.effective_index
+
+        def counting(material, fractions):
+            calls.append(fractions)
+            return original(material, fractions)
+
+        monkeypatch.setattr(PCMMaterial, "effective_index", counting)
+        soc = make_two_pe_soc()
+        pcm_phase_levels.cache_clear()
+        first = soc.run_tiled_gemm(weights, inputs)
+        assert calls, "the first offload builds the table through the wrapper"
+        calls.clear()
+        second = soc.run_tiled_gemm(weights, inputs)
+        assert calls == []
+
+        for warm, reference in zip((first, second), cold):
+            assert warm.cycles == reference.cycles
+            assert warm.energy_j == reference.energy_j
+            assert warm.energy_breakdown == reference.energy_breakdown
+            assert warm.pipeline == reference.pipeline
+            np.testing.assert_array_equal(warm.result, reference.result)
