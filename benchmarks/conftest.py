@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment of DESIGN.md (E1-E10): it prints
+Every benchmark regenerates one experiment described in README.md and
+docs/ARCHITECTURE.md ("Where the numbers live"): it prints
 the paper-style table/series (visible with ``pytest -s``) and asserts the
 qualitative shape of the result (who wins, what degrades), so a benchmark
 run doubles as a reproduction check.  Timings come from pytest-benchmark.

@@ -739,10 +739,6 @@ class SoCCostModel:
         )
         return FanoutPrediction(fused_cycles=fused, serial_cycles=serial)
 
-    def cycles_to_s(self, cycles: float) -> float:
-        """Convert simulated cycles to seconds at the calibrated clock."""
-        return cycles / self.clock_hz
-
 
 # ---------------------------------------------------------------------- #
 # serving-side calibration
@@ -867,7 +863,7 @@ def replica_cost_fn(
     """Scoring callable for ``ReplicaScheduler(policy="cost-based")``.
 
     Returns the calibrated per-request service seconds of a replica;
-    unprofiled replicas fall back to their engine's static latency hint,
+    unprofiled replicas fall back to their own ``latency_hint_s()``,
     so a partially-profiled pool still routes sensibly.
 
     ``profiles`` may be a plain mapping, or a zero-argument callable
@@ -884,6 +880,6 @@ def replica_cost_fn(
         profile = current.get(replica.name)
         if profile is not None:
             return max(profile.service_s, 0.0)
-        return max(replica.engine.latency_hint_s(1), 0.0)
+        return max(replica.latency_hint_s(), 0.0)
 
     return cost

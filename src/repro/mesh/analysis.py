@@ -8,7 +8,7 @@ produce the paper-style architecture comparison with one call.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -44,10 +44,6 @@ class ArchitectureReport:
     programming_fidelity: float
     fidelity_under_phase_error: float
     fidelity_under_coupler_error: float
-
-    def as_dict(self) -> dict:
-        """Return the report as a plain dictionary (for table printing)."""
-        return asdict(self)
 
 
 def compare_architectures(

@@ -57,7 +57,7 @@ from repro.serving.resilience import (
     synapse_fault_armer,
 )
 from repro.serving.scheduler import POLICIES, Replica, ReplicaScheduler
-from repro.serving.server import InferenceServer
+from repro.serving.server import FrontEnd, InferenceServer
 from repro.serving.snn import SNNEngine, run_patterns_serial
 from repro.serving.telemetry import (
     LatencySeries,
@@ -76,6 +76,7 @@ __all__ = [
     "FabricGateway",
     "FaultCampaignCurve",
     "FaultCampaignDriver",
+    "FrontEnd",
     "GemmEngine",
     "InferenceEngine",
     "InferenceRequest",

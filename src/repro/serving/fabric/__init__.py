@@ -3,8 +3,10 @@
 The fabric scales the in-process serving stack past the one-interpreter
 ceiling: an asyncio :class:`FabricGateway` multiplexes client futures onto
 spawned worker processes (one engine + micro-batcher each, fed over
-pickle-framed duplex pipes) using the same
-:class:`~repro.serving.scheduler.ReplicaScheduler` policies, and speaks a
+pickle-framed duplex pipes) through the same
+:class:`~repro.serving.server.FrontEnd` admission path and
+:class:`~repro.serving.scheduler.ReplicaScheduler` policies as the
+in-process server, and speaks a
 length-prefixed JSON/binary frame protocol over a local socket to remote
 :class:`FabricClient` callers.  Typed serving errors cross every boundary
 intact, per-worker RNG streams derive deterministically from one root seed,

@@ -6,9 +6,12 @@ processes (one engine + micro-batcher event loop each, fed over
 pickle-framed duplex pipes) and routes admitted requests onto them with the
 **same** :class:`~repro.serving.scheduler.ReplicaScheduler` policies the
 in-process server uses — round-robin, least-loaded, latency-aware and the
-compiler-fed cost-based router — by presenting each
-:class:`WorkerHandle` through the scheduler's replica surface (``queue``,
-``depth``, ``load``, ``ewma_latency_s``, ``engine.latency_hint_s``).
+compiler-fed cost-based router.  Each :class:`WorkerHandle` presents the
+scheduler's replica surface itself (``depth``, ``load``,
+``max_queue_depth``, ``ewma_latency_s``, ``enqueue``, ``latency_hint_s``),
+and admission — request construction, the request span, routing and
+reject/admit telemetry — is the :class:`~repro.serving.server.FrontEnd`
+core the in-process server runs too.
 
 What the process boundary adds over :class:`InferenceServer`:
 
@@ -27,11 +30,11 @@ What the process boundary adds over :class:`InferenceServer`:
 * **Graceful drain.**  ``shutdown(drain=True)`` stops admission, serves
   the backlog, then stops every worker and joins its process.
 
-The gateway's local surface mirrors ``InferenceServer`` (``submit`` /
-``submit_nowait`` / ``stats`` / ``drain`` / async context manager), so the
-:mod:`repro.serving.loadgen` drivers run unchanged against either.  The
-remote surface — length-prefixed JSON/binary frames over a local TCP
-socket — is served by :meth:`start_server` and spoken by
+Sharing that core, the gateway's local surface matches ``InferenceServer``
+(``submit`` / ``submit_nowait`` / ``stats`` / ``drain`` / async context
+manager), so the :mod:`repro.serving.loadgen` drivers run unchanged
+against either.  The remote surface — length-prefixed JSON/binary frames
+over a local TCP socket — is served by :meth:`start_server` and spoken by
 :class:`~repro.serving.fabric.client.FabricClient`.
 """
 
@@ -46,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.engine import DEFAULT_MODEL_KEY, weight_hash
+from repro.serving.batching import InferenceRequest
 from repro.serving.errors import (
     BackpressureError,
     DeadlineExceededError,
@@ -55,65 +58,25 @@ from repro.serving.errors import (
 )
 from repro.serving.fabric import wire
 from repro.serving.fabric.worker import WorkerSpec, worker_main
-from repro.serving.scheduler import LATENCY_EWMA_ALPHA, ReplicaScheduler
+from repro.serving.scheduler import ReplicaScheduler, ewma_latency
+from repro.serving.server import FrontEnd
 from repro.serving.telemetry import ServingTelemetry
 
 
 @dataclass
-class FabricRequest:
-    """One gateway-side request: routing metadata around the client future.
+class FabricRequest(InferenceRequest):
+    """One gateway-side request: an :class:`InferenceRequest` plus routing.
+
+    The ``request_id`` doubles as the FIFO tie-break within a priority and
+    is what the worker echoes back; ``trace`` is the gateway-side span.
 
     Attributes:
-        request_id: gateway-assigned id (matches the worker's echo).
-        inputs: the ``(n_in,)`` input column.
-        weights: explicit model weights or ``None`` (worker default model).
-        model_key: weight-hash grouping key for worker-side batching.
-        future: resolved with the output column or a typed error.
-        submitted_at: gateway-clock admission timestamp.
-        deadline_at: absolute gateway-clock deadline, or ``None``.
         priority: larger is more urgent; reorders *queued* work only.
         tenant: quota-accounting key, or ``None`` for unmetered traffic.
-        seq: admission sequence number (FIFO tie-break within a priority).
-        trace: the gateway-side request span, or ``None`` (tracing off).
     """
 
-    request_id: int
-    inputs: np.ndarray
-    model_key: str
-    future: asyncio.Future
-    submitted_at: float
-    weights: Optional[np.ndarray] = None
-    deadline_at: Optional[float] = None
     priority: int = 0
     tenant: Optional[str] = None
-    seq: int = 0
-    trace: Optional[object] = None
-
-
-class _HandleQueue:
-    """The ``Replica.queue`` surface of a handle: enqueue = heap + pump."""
-
-    def __init__(self, handle: "WorkerHandle"):
-        self._handle = handle
-
-    def put_nowait(self, request: FabricRequest) -> None:
-        self._handle.enqueue(request)
-
-    def qsize(self) -> int:
-        return len(self._handle._pending)
-
-
-class _HandleEngine:
-    """The ``Replica.engine`` surface of a handle (routing hints only)."""
-
-    def __init__(self, handle: "WorkerHandle"):
-        self._handle = handle
-        self.name = handle.name
-
-    def latency_hint_s(self, n_columns: int) -> float:
-        """Per-request service-time hint (EWMA once observed, else 0)."""
-        observed = self._handle.ewma_latency_s
-        return observed if observed is not None else 0.0
 
 
 class WorkerHandle:
@@ -145,8 +108,6 @@ class WorkerHandle:
         self.process = None
         self.conn = None
         self.worker_stats: Optional[Dict] = None
-        self.queue = _HandleQueue(self)
-        self.engine = _HandleEngine(self)
         self.inflight_requests: Dict[int, FabricRequest] = {}
         self._pending: List[Tuple[int, int, FabricRequest]] = []
         self._bye = asyncio.Event()
@@ -176,9 +137,13 @@ class WorkerHandle:
 
     def enqueue(self, request: FabricRequest) -> None:
         """Admit one routed request into the priority heap and dispatch."""
-        heapq.heappush(self._pending, (-request.priority, request.seq, request))
+        heapq.heappush(self._pending, (-request.priority, request.request_id, request))
         if self._dispatch is not None:
             self._dispatch(self)
+
+    def latency_hint_s(self) -> float:
+        """Per-request service-time hint (EWMA once observed, else 0)."""
+        return self.ewma_latency_s if self.ewma_latency_s is not None else 0.0
 
     def pop_pending(self) -> Optional[FabricRequest]:
         """Highest-priority queued request (FIFO within a priority)."""
@@ -192,15 +157,6 @@ class WorkerHandle:
         self._pending.clear()
         return drained
 
-    def observe_latency(self, latency_s: float) -> None:
-        """Fold one completed-request latency into the routing EWMA."""
-        previous = self.ewma_latency_s
-        self.ewma_latency_s = (
-            latency_s
-            if previous is None
-            else LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<WorkerHandle {self.name!r} alive={self.alive} "
@@ -208,22 +164,27 @@ class WorkerHandle:
         )
 
 
-class FabricGateway:
+class FabricGateway(FrontEnd):
     """Front door of the multi-process serving fabric.
 
+    Admission, tracing and lifecycle come from
+    :class:`~repro.serving.server.FrontEnd`, whose scheduler routes over
+    the worker handles and whose telemetry runs on the gateway clock.
+
     Attributes:
-        scheduler: the reused routing/admission layer over worker handles.
-        telemetry: end-to-end metrics sink (gateway clock).
+        handles: one :class:`WorkerHandle` per worker spec.
         tenant_quotas: per-tenant outstanding-request bounds.
         default_tenant_quota: bound for tenants not listed explicitly
             (``None`` = unmetered); requests without a tenant are never
             metered.
         tracer: optional :class:`~repro.obs.trace.Tracer` (gateway
-            process).  When set, every admitted request gets a gateway
-            span whose context crosses the worker pipes; worker specs are
-            switched to ``tracing=True`` so worker-side span trees ship
-            back and stitch under it.
+            process).  When set, every admitted request's span context
+            crosses the worker pipes; worker specs are switched to
+            ``tracing=True`` so worker-side span trees ship back and
+            stitch under it.
     """
+
+    request_type = FabricRequest
 
     def __init__(
         self,
@@ -241,27 +202,20 @@ class FabricGateway:
     ):
         if not specs:
             raise ValueError("gateway needs at least one worker spec")
-        self.clock = clock
-        self.tracer = tracer
         if tracer:
             # tracing gateways need tracing workers, or the cross-process
             # half of every trace would silently be missing
             for spec in specs:
                 spec.tracing = True
         self.handles = [WorkerHandle(spec, max_pending, max_inflight) for spec in specs]
-        self.scheduler = ReplicaScheduler(self.handles, policy=policy, cost_fn=cost_fn)
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry(clock=clock)
+        scheduler = ReplicaScheduler(self.handles, policy=policy, cost_fn=cost_fn)
+        super().__init__(scheduler, clock, telemetry, tracer)
         self.tenant_quotas = dict(tenant_quotas or {})
         self.default_tenant_quota = default_tenant_quota
         self._tenant_outstanding: Dict[str, int] = {}
         self._mp_context = multiprocessing.get_context(mp_context)
-        self._by_name = {handle.name: handle for handle in self.handles}
-        self._started = False
-        self._closed = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._next_request_id = 0
-        self._next_seq = 0
         for handle in self.handles:
             handle._dispatch = self._pump
 
@@ -339,11 +293,6 @@ class FabricGateway:
             target=pump, name=f"gateway-{handle.name}-reader", daemon=True
         ).start()
 
-    async def drain(self, poll_s: float = 0.001) -> None:
-        """Wait until every admitted request has completed."""
-        while any(handle.load > 0 for handle in self.handles):
-            await asyncio.sleep(poll_s)
-
     async def shutdown(self, drain: bool = True, join_timeout_s: float = 10.0) -> None:
         """Stop admission, optionally serve the backlog, stop the workers.
 
@@ -395,30 +344,11 @@ class FabricGateway:
             handle.conn.close()
             handle.conn = None
 
-    async def __aenter__(self) -> "FabricGateway":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.shutdown(drain=exc_type is None)
-
-    @property
-    def running(self) -> bool:
-        """True while the gateway accepts new requests."""
-        return self._started and not self._closed
-
     def kill_worker(self, name: str) -> None:
         """Fault injection: SIGKILL one worker process (crash-path testing)."""
-        handle = self._handle_named(name)
+        handle = self.scheduler.replica_named(name)
         if handle.process is not None:
             handle.process.kill()
-
-    def _handle_named(self, name: str) -> WorkerHandle:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown worker {name!r} (pool: {sorted(self._by_name)})"
-            ) from None
 
     # ------------------------------------------------------------------ #
     # admission
@@ -448,16 +378,9 @@ class FabricGateway:
         dictionary, as shipped in a socket client's submit header);
         ignored when the gateway has no tracer.
         """
-        if not self.running:
-            raise ServerClosedError(
-                "gateway is not accepting requests (call start(), and submit "
-                "before shutdown())"
-            )
-        inputs = np.asarray(inputs)
-        if inputs.ndim != 1:
-            raise ValueError(
-                f"a request carries one (n_in,) input column, got shape {inputs.shape}"
-            )
+        request = self._new_request(
+            inputs, weights, deadline_s, priority=int(priority), tenant=tenant
+        )
         if tenant is not None:
             quota = self.tenant_quotas.get(tenant, self.default_tenant_quota)
             outstanding = self._tenant_outstanding.get(tenant, 0)
@@ -466,7 +389,7 @@ class FabricGateway:
                 raise BackpressureError(
                     replica=f"tenant:{tenant}", depth=outstanding, limit=int(quota)
                 )
-        if replica is not None and not self._handle_named(replica).alive:
+        if replica is not None and not self.scheduler.replica_named(replica).alive:
             raise WorkerCrashedError(
                 worker=replica, detail="pinned worker is no longer alive"
             )
@@ -474,70 +397,20 @@ class FabricGateway:
             raise WorkerCrashedError(
                 worker="*", detail="every worker process has exited"
             )
-        now = self.clock()
-        model_key = DEFAULT_MODEL_KEY if weights is None else weight_hash(weights)
-        request = FabricRequest(
-            request_id=self._next_request_id,
-            inputs=inputs,
-            weights=weights,
-            model_key=model_key,
-            future=asyncio.get_running_loop().create_future(),
-            submitted_at=now,
-            deadline_at=now + deadline_s if deadline_s is not None else None,
-            priority=int(priority),
-            tenant=tenant,
-            seq=self._next_seq,
-        )
-        self._next_request_id += 1
-        self._next_seq += 1
-        span = None
-        if self.tracer:
-            # the span must exist before routing: enqueueing synchronously
-            # pumps the pipe, and the submit tuple carries the span context
-            parent = wire.unpack_trace(trace) if isinstance(trace, dict) else trace
-            span = self.tracer.start_span(
-                "request",
-                parent=parent,
-                track="request",
-                attrs={"request_id": request.request_id, "model_key": model_key},
-            )
-            request.trace = span
-        try:
-            routed = self.scheduler.submit(request, replica_name=replica)
-        except BackpressureError:
-            self.telemetry.on_reject()
-            if span is not None:
-                self.tracer.end_span(span, attrs={"outcome": "rejected"})
-            raise
-        if span is not None:
-            span.attrs["worker"] = routed.name
-            tracer = self.tracer
-            request.future.add_done_callback(lambda _future: tracer.end_span(span))
+        if self.tracer and isinstance(trace, dict):
+            trace = wire.unpack_trace(trace)
+        # the tenant slot is taken before routing: routing can finish the
+        # request synchronously (expired in _pump, or a dead pipe), and
+        # _finish then releases the slot
         if tenant is not None:
-            self._tenant_outstanding[tenant] = (
-                self._tenant_outstanding.get(tenant, 0) + 1
-            )
-        self.telemetry.on_admit(routed.name, self.scheduler.total_load())
+            self._tenant_outstanding[tenant] = outstanding + 1
+        try:
+            self._admit(request, replica, parent=trace)
+        except Exception:
+            if tenant is not None:
+                self._release_tenant(tenant)
+            raise
         return request.future
-
-    async def submit(
-        self,
-        inputs: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-        deadline_s: Optional[float] = None,
-        replica: Optional[str] = None,
-        priority: int = 0,
-        tenant: Optional[str] = None,
-    ) -> np.ndarray:
-        """Admit one request and await its output column."""
-        return await self.submit_nowait(
-            inputs,
-            weights=weights,
-            deadline_s=deadline_s,
-            replica=replica,
-            priority=priority,
-            tenant=tenant,
-        )
 
     # ------------------------------------------------------------------ #
     # dispatch and completion
@@ -599,14 +472,18 @@ class FabricGateway:
             else:
                 request.future.set_exception(error)
         if request.tenant is not None:
-            left = self._tenant_outstanding.get(request.tenant, 0) - 1
-            if left > 0:
-                self._tenant_outstanding[request.tenant] = left
-            else:
-                self._tenant_outstanding.pop(request.tenant, None)
+            self._release_tenant(request.tenant)
         if outcome == "ok":
-            handle.observe_latency(latency_s)
+            handle.ewma_latency_s = ewma_latency(handle.ewma_latency_s, latency_s)
         self.telemetry.on_result(handle.name, latency_s, batch_size, outcome)
+
+    def _release_tenant(self, tenant: str) -> None:
+        """Free one outstanding-request slot of ``tenant``."""
+        left = self._tenant_outstanding.get(tenant, 0) - 1
+        if left > 0:
+            self._tenant_outstanding[tenant] = left
+        else:
+            self._tenant_outstanding.pop(tenant, None)
 
     def _on_message(self, handle: WorkerHandle, message) -> None:
         kind = message[0]

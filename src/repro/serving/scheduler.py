@@ -39,8 +39,20 @@ POLICIES = ("round-robin", "least-loaded", "latency-aware", "cost-based")
 LATENCY_EWMA_ALPHA = 0.2
 
 
+def ewma_latency(previous: Optional[float], latency_s: float) -> float:
+    """Fold one observed latency into a smoothed estimate (``None`` = no history)."""
+    if previous is None:
+        return latency_s
+    return LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
+
+
 class Replica:
     """One serving replica: engine + bounded queue + micro-batcher.
+
+    The scheduler sees a replica through ``name``, ``depth``, ``load``,
+    ``max_queue_depth``, ``ewma_latency_s``, :meth:`enqueue` and
+    :meth:`latency_hint_s`; the fabric's worker handles present the same
+    surface.
 
     Attributes:
         name: replica label (unique within a scheduler).
@@ -113,14 +125,17 @@ class Replica:
     ) -> None:
         self.inflight = max(0, self.inflight - 1)
         if outcome == "ok":
-            previous = self.ewma_latency_s
-            self.ewma_latency_s = (
-                latency_s
-                if previous is None
-                else LATENCY_EWMA_ALPHA * latency_s + (1 - LATENCY_EWMA_ALPHA) * previous
-            )
+            self.ewma_latency_s = ewma_latency(self.ewma_latency_s, latency_s)
         for observer in self._observers:
             observer(self.name, request, latency_s, batch_size, outcome)
+
+    def enqueue(self, request: InferenceRequest) -> None:
+        """Append one admitted request to the batcher's queue."""
+        self.queue.put_nowait(request)
+
+    def latency_hint_s(self) -> float:
+        """Static per-request service-time hint of the engine."""
+        return self.engine.latency_hint_s(1)
 
     def expected_columns(self) -> int:
         """Batch width compiled plans targeting this replica should assume.
@@ -202,7 +217,7 @@ class ReplicaScheduler:
         policy: one of :data:`POLICIES`.
         cost_fn: per-request service-time model used by the ``cost-based``
             policy — maps a replica to predicted seconds per request.
-            Defaults to each engine's own ``latency_hint_s(1)`` when not
+            Defaults to each replica's own ``latency_hint_s()`` when not
             supplied; inject a calibrated model (see
             :func:`repro.compiler.costmodel.replica_cost_fn`) for
             heterogeneous pools of digital engines whose hints are all 0.
@@ -269,7 +284,7 @@ class ReplicaScheduler:
         def score(replica: Replica) -> tuple:
             latency = replica.ewma_latency_s
             if latency is None:
-                latency = replica.engine.latency_hint_s(1)
+                latency = replica.latency_hint_s()
             return ((replica.load + 1) * latency, replica.load)
 
         return min(self.replicas, key=score)
@@ -278,7 +293,7 @@ class ReplicaScheduler:
         """Predicted per-request service seconds under the cost model."""
         if self.cost_fn is not None:
             return max(float(self.cost_fn(replica)), 0.0)
-        return max(replica.engine.latency_hint_s(1), 0.0)
+        return max(replica.latency_hint_s(), 0.0)
 
     def replica_named(self, name: str) -> Replica:
         """Look up a replica by name (raises ``KeyError`` for unknown names)."""
@@ -310,7 +325,7 @@ class ReplicaScheduler:
                     replica=pinned.name, depth=pinned.depth,
                     limit=pinned.max_queue_depth,
                 )
-            pinned.queue.put_nowait(request)
+            pinned.enqueue(request)
             return pinned
         preferred = self.select()
         if len(self.replicas) == 1:
@@ -322,7 +337,7 @@ class ReplicaScheduler:
             )
         for replica in candidates:
             if replica.depth < replica.max_queue_depth:
-                replica.queue.put_nowait(request)
+                replica.enqueue(request)
                 return replica
         last = candidates[-1]
         raise BackpressureError(

@@ -30,16 +30,127 @@ from repro.serving.scheduler import Replica, ReplicaScheduler
 from repro.serving.telemetry import ServingTelemetry
 
 
-class InferenceServer:
-    """Front-end over a pool of serving replicas.
+class FrontEnd:
+    """Admission core shared by :class:`InferenceServer` and the fabric gateway.
+
+    It builds each request, routes it through the
+    :class:`~repro.serving.scheduler.ReplicaScheduler` under a ``request``
+    span with reject/admit telemetry, and owns ``running``, ``drain``,
+    ``submit`` and the async context manager.  Subclasses supply
+    ``submit_nowait``, ``start``, ``shutdown``, ``stats`` and ``report``.
 
     Attributes:
+        clock: timestamp/deadline clock of every admitted request.
         scheduler: the routing/admission layer.
-        telemetry: the server-lifetime metrics sink.
+        telemetry: the lifetime metrics sink.
         tracer: optional :class:`~repro.obs.trace.Tracer`; when set, each
-            admitted request gets a ``request`` root span that the
-            batchers/engines parent their spans on.  ``None`` (the
+            admitted request gets a ``request`` root span.  ``None`` (the
             default) keeps the entire tracing path to one falsy check.
+    """
+
+    #: the request record :meth:`_new_request` builds.
+    request_type = InferenceRequest
+
+    def __init__(self, scheduler: ReplicaScheduler, clock, telemetry, tracer):
+        self.clock = clock
+        self.scheduler = scheduler
+        self.telemetry = telemetry if telemetry is not None else ServingTelemetry(clock=clock)
+        self.tracer = tracer
+        self._started = False
+        self._closed = False
+        self._next_request_id = 0
+
+    @property
+    def running(self) -> bool:
+        """Whether the front end is started and accepting submissions."""
+        return self._started and not self._closed
+
+    async def drain(self, poll_s: float = 0.0005) -> None:
+        """Wait until every admitted request has completed.
+
+        Covers queued requests, open batching windows and dispatched
+        batches (in-flight load counts requests from the moment they are
+        pulled off the queue).
+        """
+        while self.scheduler.total_load() > 0:
+            await asyncio.sleep(poll_s)
+
+    async def __aenter__(self):
+        return await self.start()
+
+    async def __aexit__(self, exc_type, exc, tb) -> None:
+        await self.shutdown(drain=exc_type is None)
+
+    def _new_request(self, inputs, weights, deadline_s, **fields) -> InferenceRequest:
+        """Validate one submission and build its request record."""
+        if not self.running:
+            raise ServerClosedError(
+                f"{type(self).__name__} is not accepting requests (call start(), "
+                "and submit before shutdown())"
+            )
+        inputs = np.asarray(inputs)
+        if inputs.ndim != 1:
+            raise ValueError(
+                f"a request carries one (n_in,) input column, got shape {inputs.shape}"
+            )
+        now = self.clock()
+        request = self.request_type(
+            inputs=inputs,
+            weights=weights,
+            # the key only needs to group identical weights within a batcher;
+            # every engine resolves the default key against its bound model
+            model_key=DEFAULT_MODEL_KEY if weights is None else weight_hash(weights),
+            future=asyncio.get_running_loop().create_future(),
+            submitted_at=now,
+            deadline_at=now + deadline_s if deadline_s is not None else None,
+            request_id=self._next_request_id,
+            **fields,
+        )
+        self._next_request_id += 1
+        return request
+
+    def _admit(self, request: InferenceRequest, replica: Optional[str], parent=None) -> None:
+        """Route one request under its span; count the reject or the admit.
+
+        The span opens before routing: enqueueing may dispatch at once, and
+        the gateway's pipe submit carries the span context.
+        """
+        span = None
+        if self.tracer:
+            span = self.tracer.start_span(
+                "request",
+                parent=parent,
+                track="request",
+                attrs={"request_id": request.request_id, "model_key": request.model_key},
+            )
+            request.trace = span
+        try:
+            routed = self.scheduler.submit(request, replica_name=replica)
+        except BackpressureError:
+            self.telemetry.on_reject()
+            if span is not None:
+                self.tracer.end_span(span, attrs={"outcome": "rejected"})
+            raise
+        self.telemetry.on_admit(routed.name, self.scheduler.total_load())
+        if span is not None:
+            span.attrs["replica"] = routed.name
+            tracer = self.tracer
+            request.future.add_done_callback(lambda _future: tracer.end_span(span))
+
+    async def submit(self, inputs, weights=None, deadline_s=None, replica=None, **options):
+        """Admit one request and await its output column (see ``submit_nowait``)."""
+        return await self.submit_nowait(
+            inputs, weights=weights, deadline_s=deadline_s, replica=replica, **options
+        )
+
+
+class InferenceServer(FrontEnd):
+    """Front-end over a pool of in-process serving replicas.
+
+    Admission, tracing and lifecycle come from :class:`FrontEnd`; the
+    batchers/engines parent their spans on each request span.
+
+    Attributes:
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
             shared with the batchers.
         replanner: optional
@@ -62,15 +173,10 @@ class InferenceServer:
         metrics=None,
         replanner=None,
     ):
-        self.clock = clock
-        self.scheduler = ReplicaScheduler(replicas, policy=policy, cost_fn=cost_fn)
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry(clock=clock)
-        self.tracer = tracer
+        scheduler = ReplicaScheduler(replicas, policy=policy, cost_fn=cost_fn)
+        super().__init__(scheduler, clock, telemetry, tracer)
         self.metrics = metrics
         self.replanner = replanner
-        self._started = False
-        self._closed = False
-        self._next_request_id = 0
         for replica in self.scheduler.replicas:
             # one clock for the whole server: request timestamps/deadlines
             # are stamped here and compared in the batchers.  Replicas still
@@ -121,16 +227,6 @@ class InferenceServer:
         self._closed = False
         return self
 
-    async def drain(self, poll_s: float = 0.0005) -> None:
-        """Wait until every admitted request has completed.
-
-        Covers queued requests, open batching windows and dispatched
-        batches (in-flight load counts requests from the moment they are
-        pulled off the queue).
-        """
-        while self.scheduler.total_load() > 0:
-            await asyncio.sleep(poll_s)
-
     async def shutdown(self, drain: bool = True) -> None:
         """Stop admission, then stop the batcher tasks.
 
@@ -147,17 +243,6 @@ class InferenceServer:
                 await replica.abort()
         self._started = False
         self.telemetry.stop()
-
-    async def __aenter__(self) -> "InferenceServer":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.shutdown(drain=exc_type is None)
-
-    @property
-    def running(self) -> bool:
-        """Whether the server is started and accepting submissions."""
-        return self._started and not self._closed
 
     # ------------------------------------------------------------------ #
     # request admission
@@ -179,63 +264,9 @@ class InferenceServer:
         :class:`~repro.serving.errors.BackpressureError` when every replica
         queue is full (the rejection is also counted in telemetry).
         """
-        if not self.running:
-            raise ServerClosedError(
-                "server is not accepting requests (call start(), and submit "
-                "before shutdown())"
-            )
-        inputs = np.asarray(inputs)
-        if inputs.ndim != 1:
-            raise ValueError(
-                f"a request carries one (n_in,) input column, got shape {inputs.shape}"
-            )
-        now = self.clock()
-        # the key only needs to group identical weights within a batcher;
-        # every engine resolves the default key against its bound model
-        model_key = DEFAULT_MODEL_KEY if weights is None else weight_hash(weights)
-        request = InferenceRequest(
-            inputs=inputs,
-            weights=weights,
-            model_key=model_key,
-            future=asyncio.get_running_loop().create_future(),
-            submitted_at=now,
-            deadline_at=now + deadline_s if deadline_s is not None else None,
-            request_id=self._next_request_id,
-        )
-        self._next_request_id += 1
-        span = None
-        if self.tracer:
-            span = self.tracer.start_span(
-                "request",
-                track="request",
-                attrs={"request_id": request.request_id, "model_key": model_key},
-            )
-            request.trace = span
-        try:
-            routed = self.scheduler.submit(request, replica_name=replica)
-        except BackpressureError:
-            self.telemetry.on_reject()
-            if span is not None:
-                self.tracer.end_span(span, attrs={"outcome": "rejected"})
-            raise
-        self.telemetry.on_admit(routed.name, self.scheduler.total_load())
-        if span is not None:
-            span.attrs["replica"] = routed.name
-            tracer = self.tracer
-            request.future.add_done_callback(lambda _future: tracer.end_span(span))
+        request = self._new_request(inputs, weights, deadline_s)
+        self._admit(request, replica)
         return request.future
-
-    async def submit(
-        self,
-        inputs: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-        deadline_s: Optional[float] = None,
-        replica: Optional[str] = None,
-    ) -> np.ndarray:
-        """Admit one request and await its output column."""
-        return await self.submit_nowait(
-            inputs, weights=weights, deadline_s=deadline_s, replica=replica
-        )
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -108,11 +108,6 @@ class LatencySeries(BoundedSeries):
         return self.percentile_s(50)
 
     @property
-    def p95_s(self) -> float:
-        """95th-percentile latency in seconds."""
-        return self.percentile_s(95)
-
-    @property
     def p99_s(self) -> float:
         """99th-percentile latency in seconds."""
         return self.percentile_s(99)

@@ -99,10 +99,6 @@ class SystemBus:
                 return mapping
         raise MemoryAccessError(f"bus decode error: no target at {address:#x}")
 
-    def mappings(self) -> List[BusMapping]:
-        """The current address map (sorted by base address)."""
-        return list(self._map)
-
     # ------------------------------------------------------------------ #
     # arbitration (opt-in)
     # ------------------------------------------------------------------ #

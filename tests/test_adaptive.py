@@ -383,15 +383,12 @@ class TestServingWiring:
 # --------------------------------------------------------------------- #
 # cost-fn read-through (staleness regression)
 # --------------------------------------------------------------------- #
-class _StubEngine:
-    def latency_hint_s(self, n):
-        return 0.5
-
-
 class _StubReplica:
     def __init__(self, name):
         self.name = name
-        self.engine = _StubEngine()
+
+    def latency_hint_s(self):
+        return 0.5
 
 
 class TestCostFnReadThrough:

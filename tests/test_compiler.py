@@ -218,14 +218,12 @@ class TestReplicaProfiles:
         profiles = {"a": ReplicaProfile(name="a", service_s=0.5, macs=1)}
         cost = replica_cost_fn(profiles)
 
-        class FakeEngine:
-            def latency_hint_s(self, n):
-                return 0.25
-
         class FakeReplica:
             def __init__(self, name):
                 self.name = name
-                self.engine = FakeEngine()
+
+            def latency_hint_s(self):
+                return 0.25
 
         assert cost(FakeReplica("a")) == 0.5
         assert cost(FakeReplica("unknown")) == 0.25

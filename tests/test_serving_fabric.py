@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.serving import (
     BackpressureError,
     DeadlineExceededError,
@@ -255,6 +256,44 @@ class TestGatewayAdmission:
             )
 
 
+def one_replica_server(tracer):
+    engine = GemmEngine(weights=demo_weights(), name="r0")
+    return InferenceServer([Replica("r0", engine)], tracer=tracer)
+
+
+def one_worker_gateway(tracer):
+    specs = make_worker_specs(
+        1, GEMM, engine_kwargs={"weights": demo_weights()}, name_prefix="r"
+    )
+    return FabricGateway(specs, tracer=tracer)
+
+
+class TestAdmissionParity:
+    """Both front doors share one admission path, so they behave alike."""
+
+    @pytest.mark.parametrize(
+        "make_front", [one_replica_server, one_worker_gateway], ids=["server", "gateway"]
+    )
+    def test_validation_close_and_request_span(self, make_front):
+        async def check():
+            tracer = Tracer()
+            front = make_front(tracer)
+            async with front:
+                with pytest.raises(ValueError, match="one"):
+                    front.submit_nowait(np.ones((4, 1)))
+                assert front.telemetry.submitted == 0
+                output = await front.submit(np.ones(4))
+                assert np.array_equal(output, demo_weights() @ np.ones(4))
+                assert front.telemetry.submitted == 1
+            with pytest.raises(ServerClosedError):
+                front.submit_nowait(np.ones(4))
+            (span,) = tracer.spans_named("request")
+            assert span.attrs["replica"] == "r0"
+            assert span.end_wall is not None
+
+        run_async(check())
+
+
 # --------------------------------------------------------------------- #
 # end-to-end across real worker processes
 # --------------------------------------------------------------------- #
@@ -411,16 +450,35 @@ class TestTenantQuotas:
 
         run_async(check())
 
+    def test_request_finished_while_routing_releases_its_slot(self):
+        async def check():
+            weights = demo_weights()
+            specs = make_worker_specs(1, GEMM, engine_kwargs={"weights": weights})
+            async with FabricGateway(specs, tenant_quotas={"t": 1}) as gateway:
+                # a zero budget expires in the synchronous dispatch pump,
+                # so the request is finished before admission returns
+                with pytest.raises(DeadlineExceededError):
+                    await gateway.submit(np.ones(4), tenant="t", deadline_s=0.0)
+                assert gateway.stats()["fabric"]["tenant_outstanding"] == {}
+                output = await gateway.submit(np.ones(4), tenant="t")
+                assert np.array_equal(output, weights @ np.ones(4))
+
+        run_async(check())
+
 
 class TestCrossProcessErrors:
     def test_worker_backpressure_and_deadline_arrive_typed(self):
         async def check():
             weights = demo_weights()
-            serving_spec = WorkerSpec(
+            # a lone request waits out the worker's 50 ms batching window,
+            # so its 5 ms budget always lapses worker-side, whenever the
+            # worker reads the submit
+            windowed_spec = WorkerSpec(
                 name="w0",
                 engine_factory=COMPUTE_HEAVY,
-                engine_kwargs={"weights": weights, "service_s_per_column": 0.05},
-                max_batch=1,
+                engine_kwargs={"weights": weights},
+                max_batch=2,
+                max_wait_s=0.05,
             )
             rejecting_spec = WorkerSpec(
                 name="wfull",
@@ -428,21 +486,20 @@ class TestCrossProcessErrors:
                 engine_kwargs={"weights": weights},
                 max_queue_depth=0,  # worker-side admission rejects everything
             )
-            async with FabricGateway([serving_spec, rejecting_spec]) as gateway:
+            async with FabricGateway([windowed_spec, rejecting_spec]) as gateway:
                 # worker-side BackpressureError crosses the pipe typed
                 with pytest.raises(BackpressureError) as excinfo:
                     await gateway.submit(np.ones(4), replica="wfull")
                 assert excinfo.value.replica == "wfull"
                 assert excinfo.value.limit == 0
 
-                # worker-side deadline expiry crosses the pipe typed: the
-                # first request occupies the engine past the second's budget
-                long_running = gateway.submit_nowait(np.ones(4), replica="w0")
+                # worker-side deadline expiry crosses the pipe typed
                 with pytest.raises(DeadlineExceededError):
                     await gateway.submit(
                         np.ones(4), replica="w0", deadline_s=0.005
                     )
-                await long_running
+            # the budget lapsed in the worker's batcher, not at the gateway
+            assert gateway.handles[0].worker_stats["batcher"]["expired"] == 1
 
         run_async(check())
 
