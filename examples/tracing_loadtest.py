@@ -4,8 +4,9 @@ Serves a cycle-accurate SoC replica under closed-loop traffic with the
 observability plane switched on: every request gets a span at the front
 door, the micro-batcher's fused batches link the request spans they
 coalesced, engine execution and the SoC offload's pipeline phases
-(DMA/compute, on simulated cycles) hang underneath, and a metrics
-registry counts outcomes and buckets latencies alongside.  The finished
+(DMA/compute, on simulated cycles) hang underneath, and the server's
+telemetry records its counters and latency/queue/batch series into the
+metrics registry handed to it.  The finished
 spans export to a Chrome ``trace_event`` file loadable in
 ``chrome://tracing`` / Perfetto (validated here with the same gate
 ``tools/trace_view.py`` uses), and a drift monitor compares the cost
@@ -105,9 +106,9 @@ def main() -> None:
     rows = []
     for name in metrics.names():
         state = snapshot[name]
-        value = state.get("value", state.get("count"))
+        value = state.get("value", state.get("count", state.get("total")))
         rows.append([name, state["type"], value])
-    print(format_table(["metric", "type", "value/count"], rows))
+    print(format_table(["metric", "type", "value/count/total"], rows))
     print(f"closed-loop: {report.completed} done @ {report.achieved_hz:.0f} req/s")
 
     # --- chrome trace export ---------------------------------------------

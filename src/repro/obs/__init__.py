@@ -13,9 +13,11 @@ plane threaded through the whole stack:
   ``WorkloadReport.pipeline`` phases and DMA traffic deltas into child
   spans.  Trace context crosses the fabric's pickle pipes and socket wire
   protocol, so a worker-process span stitches to its gateway parent.
-* :mod:`repro.obs.metrics` — process-safe counters / gauges / histograms
-  with fixed deterministic buckets; snapshots merge across worker
-  processes and persist through the serving layer's ``TelemetryLog``.
+* :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms
+  / bounded series, the one store of serving metrics: each front door's
+  ``ServingTelemetry`` records into its registry (``telemetry.metrics``).
+  Snapshots are plain JSON and merge deterministically into another
+  registry.
 * :mod:`repro.obs.export` — Chrome ``trace_event``-format exporter for
   spans, scheduler dispatch logs and metric snapshots (loadable in
   ``chrome://tracing`` / Perfetto; validated by ``tools/trace_view.py``).
@@ -43,6 +45,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Series,
 )
 from repro.obs.trace import (
     NULL_TRACER,
@@ -62,6 +65,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
+    "Series",
     "Span",
     "TraceContext",
     "Tracer",

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import Series
+
 #: Synthetic process label for cycle-domain events.
 CYCLE_PROCESS = "(cycles)"
 
@@ -128,8 +130,10 @@ def metrics_events(
     """Convert a :meth:`MetricsRegistry.snapshot` to ``"C"`` counter events.
 
     Counters and gauges become single-sample counter tracks; histograms
-    contribute their ``count`` and ``sum`` (full bucket vectors stay in
-    the JSONL snapshots, which remain the analysis source of truth).
+    contribute their ``count`` and ``sum``, and series their all-time
+    ``total`` and the p50/p99 of their retained window (full bucket
+    vectors and windows stay in the JSONL snapshots, which remain the
+    analysis source of truth).
     """
     events: List[Dict] = []
     for name in sorted(snapshot):
@@ -139,6 +143,11 @@ def metrics_events(
             series = {name: state["value"]}
         elif kind == "histogram":
             series = {f"{name}.count": state["count"], f"{name}.sum": state["sum"]}
+        elif kind == "series":
+            window = Series(name)
+            window.merge(state)
+            p50, p99 = window.percentiles([50, 99])
+            series = {f"{name}.total": state["total"], f"{name}.p50": p50, f"{name}.p99": p99}
         else:
             continue
         events.append(

@@ -59,12 +59,7 @@ from repro.serving.resilience import (
 from repro.serving.scheduler import POLICIES, Replica, ReplicaScheduler
 from repro.serving.server import FrontEnd, InferenceServer
 from repro.serving.snn import SNNEngine, run_patterns_serial
-from repro.serving.telemetry import (
-    LatencySeries,
-    ServingTelemetry,
-    TelemetryLog,
-    merge_snapshots,
-)
+from repro.serving.telemetry import ServingTelemetry, TelemetryLog
 
 __all__ = [
     "BackpressureError",
@@ -81,7 +76,6 @@ __all__ = [
     "InferenceEngine",
     "InferenceRequest",
     "InferenceServer",
-    "LatencySeries",
     "LoadReport",
     "MLPEngine",
     "MicroBatcher",
@@ -102,7 +96,6 @@ __all__ = [
     "make_gemm_engine",
     "make_soc_gemm_engine",
     "make_worker_specs",
-    "merge_snapshots",
     "poisson_arrival_times",
     "run_closed_loop",
     "run_open_loop",

@@ -99,8 +99,6 @@ class MicroBatcher:
             fuse event records a ``batch`` span linking every traced
             request it coalesced, plus an ``engine`` span per model-key
             engine call.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry` for
-            batch-size / latency instruments.
 
     The straggler window (``max_wait_s``) is timed on the event loop's
     clock (``loop.time()``), matching ``asyncio.wait_for``; the injectable
@@ -117,7 +115,6 @@ class MicroBatcher:
         on_pull: Optional[Callable[[int], None]] = None,
         on_batch: Optional[Callable[[int], None]] = None,
         tracer=None,
-        metrics=None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -131,7 +128,6 @@ class MicroBatcher:
         self.on_pull = on_pull
         self.on_batch = on_batch
         self.tracer = tracer
-        self.metrics = metrics
         self.stats = BatcherStats()
 
     def _take(self, batch: list, item: InferenceRequest) -> None:
@@ -228,10 +224,6 @@ class MicroBatcher:
     def _execute(self, batch: List[InferenceRequest]) -> None:
         """Fuse a batch into per-model engine calls and resolve futures."""
         now = self.clock()
-        if self.metrics:
-            self.metrics.histogram(
-                "batcher.batch_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
-            ).observe(len(batch))
         groups: "Dict[str, List[InferenceRequest]]" = {}
         for request in batch:
             if request.future.cancelled():
@@ -305,11 +297,5 @@ class MicroBatcher:
     def _notify(
         self, request: InferenceRequest, now: float, batch_size: int, outcome: str
     ) -> None:
-        if self.metrics:
-            self.metrics.counter(f"batcher.requests.{outcome}").inc()
-            if outcome == "ok":
-                self.metrics.histogram("batcher.latency_s").observe(
-                    now - request.submitted_at
-                )
         if self.on_result is not None:
             self.on_result(request, now - request.submitted_at, batch_size, outcome)

@@ -169,7 +169,8 @@ class FabricGateway(FrontEnd):
 
     Admission, tracing and lifecycle come from
     :class:`~repro.serving.server.FrontEnd`, whose scheduler routes over
-    the worker handles and whose telemetry runs on the gateway clock.
+    the worker handles and whose telemetry runs on the gateway clock and
+    records into its own registry, ``telemetry.metrics``.
 
     Attributes:
         handles: one :class:`WorkerHandle` per worker spec.

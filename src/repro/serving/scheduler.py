@@ -72,7 +72,6 @@ class Replica:
         max_queue_depth: int = 64,
         clock: Callable[[], float] = time.perf_counter,
         tracer=None,
-        metrics=None,
     ):
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
@@ -92,7 +91,6 @@ class Replica:
             on_pull=self._on_pull,
             on_batch=self._on_batch,
             tracer=tracer,
-            metrics=metrics,
         )
         self._task: Optional[asyncio.Task] = None
         self._observers: List[Callable[[str, InferenceRequest, float, int, str], None]] = []

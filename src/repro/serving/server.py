@@ -42,7 +42,9 @@ class FrontEnd:
     Attributes:
         clock: timestamp/deadline clock of every admitted request.
         scheduler: the routing/admission layer.
-        telemetry: the lifetime metrics sink.
+        telemetry: the lifetime :class:`ServingTelemetry`; its registry,
+            ``telemetry.metrics``, holds every serving metric of this front
+            end and is what to export or merge.
         tracer: optional :class:`~repro.obs.trace.Tracer`; when set, each
             admitted request gets a ``request`` root span.  ``None`` (the
             default) keeps the entire tracing path to one falsy check.
@@ -150,9 +152,12 @@ class InferenceServer(FrontEnd):
     Admission, tracing and lifecycle come from :class:`FrontEnd`; the
     batchers/engines parent their spans on each request span.
 
+    ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
+    for the server's own telemetry to record into (it is then
+    ``telemetry.metrics``); it cannot be combined with ``telemetry``,
+    which brings its own registry.
+
     Attributes:
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            shared with the batchers.
         replanner: optional
             :class:`~repro.compiler.adaptive.AdaptiveReplanner`; when
             set, every replica's fused-batch widths stream into the
@@ -173,25 +178,29 @@ class InferenceServer(FrontEnd):
         metrics=None,
         replanner=None,
     ):
+        if metrics is not None:
+            if telemetry is not None:
+                raise ValueError(
+                    "pass metrics= or telemetry=, not both: a given telemetry "
+                    "already records into its own registry (telemetry.metrics)"
+                )
+            telemetry = ServingTelemetry(clock=clock, metrics=metrics)
         scheduler = ReplicaScheduler(replicas, policy=policy, cost_fn=cost_fn)
         super().__init__(scheduler, clock, telemetry, tracer)
-        self.metrics = metrics
         self.replanner = replanner
         for replica in self.scheduler.replicas:
             # one clock for the whole server: request timestamps/deadlines
             # are stamped here and compared in the batchers.  Replicas still
             # on the default clock adopt the server's; an explicitly
-            # injected replica clock is left alone.  The tracer/metrics
-            # plane is adopted the same way: replicas built without their
-            # own instruments join the server's.
+            # injected replica clock is left alone.  The tracer is adopted
+            # the same way: replicas built without their own join the
+            # server's.
             if replica.clock is time.perf_counter:
                 replica.clock = clock
             if replica.batcher.clock is time.perf_counter:
                 replica.batcher.clock = clock
             if replica.batcher.tracer is None:
                 replica.batcher.tracer = tracer
-            if replica.batcher.metrics is None:
-                replica.batcher.metrics = metrics
             # engines that support SoC-phase tracing expose a tracer slot
             if tracer and getattr(replica.engine, "tracer", "absent") is None:
                 replica.engine.tracer = tracer

@@ -12,15 +12,16 @@ the paper-experiment tables.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.eval.reporting import format_dict, format_table
+from repro.obs.metrics import MetricsRegistry
 
 
 def _jsonable(value):
@@ -40,149 +41,72 @@ def _jsonable(value):
     return value
 
 
-class BoundedSeries:
-    """A numeric series retaining only the most recent ``max_samples``.
-
-    Long-lived servers record one value per request; a ring buffer keeps
-    memory O(1) in traffic while percentiles/means stay exact over the
-    retained window.  ``total`` counts every value ever recorded.
-    """
-
-    def __init__(self, max_samples: int = 100_000):
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        self.max_samples = int(max_samples)
-        self.total = 0
-        self._values: List[float] = []
-        self._cursor = 0
-
-    def add(self, value: float) -> None:
-        """Record one value, evicting the oldest once the ring is full."""
-        self.total += 1
-        if len(self._values) < self.max_samples:
-            self._values.append(float(value))
-        else:
-            self._values[self._cursor] = float(value)
-            self._cursor = (self._cursor + 1) % self.max_samples
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The retained window as a float array (oldest eviction order)."""
-        return np.asarray(self._values, dtype=float)
-
-    def max(self) -> float:
-        """Maximum over the retained window; 0.0 when empty."""
-        return float(np.max(self.values)) if self._values else 0.0
-
-    def mean(self) -> float:
-        """Mean over the retained window; 0.0 when empty."""
-        return float(np.mean(self.values)) if self._values else 0.0
-
-
-class LatencySeries(BoundedSeries):
-    """Latency samples with percentile accessors (over the retained window)."""
-
-    def percentile_s(self, percentile: float) -> float:
-        """Latency at ``percentile`` (0-100); 0.0 when empty.
-
-        Every percentile/mean accessor on this class is total; an empty
-        sample window (a replica that has served zero requests, a server
-        queried before traffic arrives) yields 0.0, never NaN or an
-        exception from ``np.percentile`` on an empty array.
-        """
-        if not self._values:
-            return 0.0
-        return float(np.percentile(self.values, percentile))
-
-    @property
-    def mean_s(self) -> float:
-        """Mean latency in seconds over the retained window."""
-        return float(np.mean(self.values)) if self._values else 0.0
-
-    @property
-    def p50_s(self) -> float:
-        """Median latency in seconds."""
-        return self.percentile_s(50)
-
-    @property
-    def p99_s(self) -> float:
-        """99th-percentile latency in seconds."""
-        return self.percentile_s(99)
-
-    def percentiles_s(self, percentiles) -> List[float]:
-        """Several percentiles from one materialized sample array."""
-        values = self.values
-        if values.size == 0:
-            return [0.0 for _ in percentiles]
-        return [float(p) for p in np.percentile(values, list(percentiles))]
-
-    def summary(self) -> Dict[str, float]:
-        """Count/mean/p50/p95/p99 in milliseconds (SLO form).
-
-        ``count`` is the all-time total; the statistics cover the retained
-        ring window, computed from a single pass over the samples.
-        """
-        values = self.values
-        if values.size:
-            mean = float(np.mean(values))
-            p50, p95, p99 = (float(p) for p in np.percentile(values, [50, 95, 99]))
-        else:
-            mean = p50 = p95 = p99 = 0.0
-        return {
-            "count": self.total,
-            "mean_ms": mean * 1e3,
-            "p50_ms": p50 * 1e3,
-            "p95_ms": p95 * 1e3,
-            "p99_ms": p99 * 1e3,
-        }
-
-
-@dataclass
-class ReplicaTelemetry:
-    """Per-replica slice of the server telemetry."""
-
-    completed: int = 0
-    expired: int = 0
-    cancelled: int = 0
-    failed: int = 0
-    batches: int = 0
-    fused_requests: int = 0
-    latencies: LatencySeries = field(default_factory=LatencySeries)
-
-    @property
-    def mean_batch(self) -> float:
-        """Mean requests fused per engine batch on this replica."""
-        return self.fused_requests / self.batches if self.batches else 0.0
+#: per-replica counters, named ``serving.replica.<name>.<counter>``.
+REPLICA_COUNTERS = ("completed", "expired", "cancelled", "failed", "batches", "fused_requests")
+#: ``on_result`` outcome -> the replica counter it bumps (anything else: failed).
+_OUTCOME_COUNTER = {"ok": "completed", "expired": "expired", "cancelled": "cancelled"}
+_REPLICA_PREFIX = "serving.replica."
 
 
 class ServingTelemetry:
     """Aggregated serving metrics for one server lifetime.
 
-    All per-request series are bounded rings (:class:`BoundedSeries`), so a
-    long-lived server's telemetry memory stays O(1) in traffic; counters
-    (``submitted``, ``completed``, ``rejected``...) remain exact totals.
-
-    Attributes:
-        latencies: end-to-end request latencies (admission to completion).
-        rejected: requests refused by admission control (backpressure).
-        queue_depth_samples: pool depth sampled at every admission.
+    Every value lives in ``metrics``, a
+    :class:`~repro.obs.metrics.MetricsRegistry`, so what this class reports
+    is exportable and mergeable like any metric; only the lifetime window
+    rates are computed over (``started_at``/``stopped_at``) is kept here.
+    Instruments: the counters ``serving.submitted``/``serving.rejected``;
+    the bounded series ``serving.latency_s`` (``latencies``),
+    ``serving.queue_depth`` (``queue_depth_samples``, one sample per
+    admission) and ``serving.batch_size`` (``batch_sizes``); and per
+    replica the :data:`REPLICA_COUNTERS` plus a ``latency_s`` series, under
+    ``serving.replica.<name>.``.  Series keep memory O(1) in traffic;
+    counters stay exact totals.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
+    def __init__(
+        self,
+        clock: Callable[[], float] = time.perf_counter,
+        metrics: Optional[MetricsRegistry] = None,
+    ):
         self.clock = clock
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
-        self.latencies = LatencySeries()
-        self.rejected = 0
-        self.submitted = 0
-        self.queue_depth_samples = BoundedSeries()
-        self._max_queue_depth = 0
-        self.replicas: Dict[str, ReplicaTelemetry] = {}
-        #: recent fused batch sizes (for debugging/diagnostics)
-        self.batch_sizes = BoundedSeries()
+        self._submitted = self.metrics.counter("serving.submitted")
+        self._rejected = self.metrics.counter("serving.rejected")
+        self.latencies = self.metrics.series("serving.latency_s")
+        self.queue_depth_samples = self.metrics.series("serving.queue_depth")
+        self.batch_sizes = self.metrics.series("serving.batch_size")
+        # replica name -> its registry instruments, so hooks skip the lookup
+        self._replicas: Dict[str, Dict] = {}
+
+    def _replica(self, name: str) -> Dict:
+        """The registry instruments of replica ``name``, created on first use."""
+        instruments = self._replicas.get(name)
+        if instruments is None:
+            prefix = f"{_REPLICA_PREFIX}{name}."
+            instruments = {
+                counter: self.metrics.counter(prefix + counter)
+                for counter in REPLICA_COUNTERS
+            }
+            instruments["latency_s"] = self.metrics.series(prefix + "latency_s")
+            self._replicas[name] = instruments
+        return instruments
+
+    def _replica_names(self) -> List[str]:
+        """Every replica with instruments in the registry, sorted."""
+        suffix = ".completed"
+        return sorted(
+            name[len(_REPLICA_PREFIX) : -len(suffix)]
+            for name in self.metrics.names()
+            if name.startswith(_REPLICA_PREFIX) and name.endswith(suffix)
+        )
+
+    def _replica_total(self, counter: str) -> int:
+        return sum(
+            int(self._replica(name)[counter].value) for name in self._replica_names()
+        )
 
     # ------------------------------------------------------------------ #
     # event hooks (wired by the server)
@@ -201,54 +125,55 @@ class ServingTelemetry:
 
     def on_admit(self, replica_name: str, pool_depth: int) -> None:
         """Count an admitted request and sample the pool queue depth."""
-        self.submitted += 1
+        self._submitted.inc()
         self.queue_depth_samples.add(int(pool_depth))
-        if pool_depth > self._max_queue_depth:
-            self._max_queue_depth = int(pool_depth)
-        self.replicas.setdefault(replica_name, ReplicaTelemetry())
+        self._replica(replica_name)
 
     def on_reject(self) -> None:
         """Count a request refused by admission control."""
-        self.rejected += 1
+        self._rejected.inc()
 
     def on_result(
         self, replica_name: str, latency_s: float, batch_size: int, outcome: str
     ) -> None:
         """Per-request outcome hook (matches the replica observer signature)."""
-        slice_ = self.replicas.setdefault(replica_name, ReplicaTelemetry())
-        if outcome == "ok":
-            slice_.completed += 1
-            # a non-finite latency (clock skew, injected test clocks) must
-            # never poison the percentile windows with NaN/inf
-            if np.isfinite(latency_s):
-                slice_.latencies.add(latency_s)
-                self.latencies.add(latency_s)
-        elif outcome == "expired":
-            slice_.expired += 1
-        elif outcome == "cancelled":
-            slice_.cancelled += 1
-        else:
-            slice_.failed += 1
+        instruments = self._replica(replica_name)
+        instruments[_OUTCOME_COUNTER.get(outcome, "failed")].inc()
+        # a non-finite latency (clock skew, injected test clocks) must
+        # never poison the percentile windows with NaN/inf
+        if outcome == "ok" and math.isfinite(latency_s):
+            instruments["latency_s"].add(latency_s)
+            self.latencies.add(latency_s)
 
     def on_batch(self, replica_name: str, batch_size: int) -> None:
         """Record one fused engine batch of ``batch_size`` requests."""
-        slice_ = self.replicas.setdefault(replica_name, ReplicaTelemetry())
-        slice_.batches += 1
-        slice_.fused_requests += int(batch_size)
+        instruments = self._replica(replica_name)
+        instruments["batches"].inc()
+        instruments["fused_requests"].inc(int(batch_size))
         self.batch_sizes.add(int(batch_size))
 
     # ------------------------------------------------------------------ #
     # derived metrics
     # ------------------------------------------------------------------ #
     @property
+    def submitted(self) -> int:
+        """Total requests admitted."""
+        return int(self._submitted.value)
+
+    @property
+    def rejected(self) -> int:
+        """Total requests refused by admission control (backpressure)."""
+        return int(self._rejected.value)
+
+    @property
     def completed(self) -> int:
         """Total requests completed successfully, across all replicas."""
-        return sum(slice_.completed for slice_ in self.replicas.values())
+        return self._replica_total("completed")
 
     @property
     def expired(self) -> int:
         """Total requests expired past their deadline, across all replicas."""
-        return sum(slice_.expired for slice_ in self.replicas.values())
+        return self._replica_total("expired")
 
     def elapsed_s(self) -> float:
         """Seconds of server lifetime (live-reading until stopped)."""
@@ -264,11 +189,7 @@ class ServingTelemetry:
 
     def max_queue_depth(self) -> int:
         """All-time maximum admitted pool depth (survives ring eviction)."""
-        return self._max_queue_depth
-
-    def mean_queue_depth(self) -> float:
-        """Mean pool depth over the retained sample window."""
-        return self.queue_depth_samples.mean()
+        return int(self.queue_depth_samples.peak)
 
     def utilization(self, replica_busy_s: Dict[str, float]) -> Dict[str, float]:
         """Per-replica engine-busy fraction of the server lifetime.
@@ -286,7 +207,13 @@ class ServingTelemetry:
         }
 
     def summary(self) -> Dict:
-        """The SLO dictionary persisted by the traffic benchmarks."""
+        """The SLO dictionary persisted by the traffic benchmarks.
+
+        Latency statistics cover the retained ring window; ``count`` is
+        the all-time total.
+        """
+        latencies = self.latencies
+        p50_s, p95_s, p99_s = latencies.percentiles([50, 95, 99])
         return {
             "elapsed_s": self.elapsed_s(),
             "submitted": self.submitted,
@@ -294,30 +221,31 @@ class ServingTelemetry:
             "rejected": self.rejected,
             "expired": self.expired,
             "throughput_hz": self.throughput_hz(),
-            "latency": self.latencies.summary(),
+            "latency": {
+                "count": latencies.total,
+                "mean_ms": latencies.mean() * 1e3,
+                "p50_ms": p50_s * 1e3,
+                "p95_ms": p95_s * 1e3,
+                "p99_ms": p99_s * 1e3,
+            },
             "queue_depth": {
                 "max": self.max_queue_depth(),
-                "mean": self.mean_queue_depth(),
+                "mean": self.queue_depth_samples.mean(),
             },
             "replicas": {
-                name: self._replica_summary(slice_)
-                for name, slice_ in sorted(self.replicas.items())
+                name: self._replica_summary(self._replica(name))
+                for name in self._replica_names()
             },
         }
 
     @staticmethod
-    def _replica_summary(slice_: ReplicaTelemetry) -> Dict:
-        p50_s, p99_s = slice_.latencies.percentiles_s([50, 99])
-        return {
-            "completed": slice_.completed,
-            "expired": slice_.expired,
-            "cancelled": slice_.cancelled,
-            "failed": slice_.failed,
-            "batches": slice_.batches,
-            "mean_batch": slice_.mean_batch,
-            "p50_ms": p50_s * 1e3,
-            "p99_ms": p99_s * 1e3,
-        }
+    def _replica_summary(instruments: Dict) -> Dict:
+        summary = {counter: int(instruments[counter].value) for counter in REPLICA_COUNTERS}
+        fused, batches = summary.pop("fused_requests"), summary["batches"]
+        p50_s, p99_s = instruments["latency_s"].percentiles([50, 99])
+        summary["mean_batch"] = fused / batches if batches else 0.0
+        summary["p50_ms"], summary["p99_ms"] = p50_s * 1e3, p99_s * 1e3
+        return summary
 
     def to_snapshot(self, label: Optional[str] = None) -> Dict:
         """One queryable point of a telemetry trajectory (plain JSON types).
@@ -367,66 +295,6 @@ class ServingTelemetry:
             ]
             blocks.append(format_table(headers, rows))
         return "\n\n".join(blocks)
-
-
-def merge_snapshots(snapshots: Iterable[Dict]) -> Dict:
-    """Fold per-worker :meth:`ServingTelemetry.to_snapshot` dicts into one view.
-
-    The fabric runs one :class:`ServingTelemetry` per worker process; this
-    merges their snapshots into a pool-level summary: counters sum,
-    ``elapsed_s`` takes the longest window (workers run concurrently),
-    throughput is recomputed from the merged totals, latency statistics
-    are completion-weighted means of the per-worker statistics (exact for
-    the mean; an aggregation, not a re-percentile, for p50/p95/p99), and
-    per-replica slices — disjoint across workers by construction — are
-    carried over, erroring on a duplicate replica name.
-    """
-    merged: Dict = {
-        "elapsed_s": 0.0,
-        "submitted": 0,
-        "completed": 0,
-        "rejected": 0,
-        "expired": 0,
-        "throughput_hz": 0.0,
-        "latency": {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0},
-        "queue_depth": {"max": 0, "mean": 0.0},
-        "replicas": {},
-        "workers": 0,
-    }
-    weighted = {"mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-    depth_weight = 0
-    for snapshot in snapshots:
-        merged["workers"] += 1
-        merged["elapsed_s"] = max(merged["elapsed_s"], float(snapshot.get("elapsed_s", 0.0)))
-        for counter in ("submitted", "completed", "rejected", "expired"):
-            merged[counter] += int(snapshot.get(counter, 0))
-        latency = snapshot.get("latency", {})
-        count = int(latency.get("count", 0))
-        merged["latency"]["count"] += count
-        for key in weighted:
-            weighted[key] += float(latency.get(key, 0.0)) * count
-        depth = snapshot.get("queue_depth", {})
-        submitted = int(snapshot.get("submitted", 0))
-        merged["queue_depth"]["max"] = max(
-            merged["queue_depth"]["max"], int(depth.get("max", 0))
-        )
-        merged["queue_depth"]["mean"] += float(depth.get("mean", 0.0)) * submitted
-        depth_weight += submitted
-        for name, slice_ in snapshot.get("replicas", {}).items():
-            if name in merged["replicas"]:
-                raise ValueError(
-                    f"replica {name!r} appears in more than one worker snapshot"
-                )
-            merged["replicas"][name] = dict(slice_)
-    total = merged["latency"]["count"]
-    if total > 0:
-        for key in weighted:
-            merged["latency"][key] = weighted[key] / total
-    if depth_weight > 0:
-        merged["queue_depth"]["mean"] /= depth_weight
-    if merged["elapsed_s"] > 0:
-        merged["throughput_hz"] = merged["completed"] / merged["elapsed_s"]
-    return merged
 
 
 class TelemetryLog:
@@ -507,4 +375,5 @@ class TelemetryLog:
         return snapshots
 
     def __len__(self) -> int:
-        return len(self.read())
+        """Number of snapshots :meth:`read_all` returns (a torn tail is skipped)."""
+        return len(self.read_all())

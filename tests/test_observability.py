@@ -13,6 +13,7 @@ from repro.obs import (
     NULL_TRACER,
     DriftMonitor,
     MetricsRegistry,
+    Series,
     Span,
     TraceContext,
     Tracer,
@@ -34,7 +35,6 @@ from repro.serving import (
     SoCGemmEngine,
     TelemetryLog,
     make_worker_specs,
-    merge_snapshots,
 )
 from repro.serving.fabric import wire
 from repro.system import PhotonicSoC
@@ -194,6 +194,51 @@ class TestMetrics:
         assert merged.counts == [2, 2, 0]
         assert merged.count == 4
 
+    def test_merge_is_atomic_and_rejects_bad_counters(self):
+        registry = MetricsRegistry()
+        registry.histogram("lat", bounds=(1.0, 2.0))
+        foreign = MetricsRegistry()
+        foreign.counter("a.done").inc(3)
+        foreign.histogram("lat", bounds=(1.0, 3.0)).observe(0.5)
+        with pytest.raises(ValueError, match="bounds differ"):
+            registry.merge(foreign.snapshot())
+        # the counter listed before the bad histogram was not applied
+        assert registry.get("a.done") is None
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="finite"):
+                registry.merge({"a.done": {"type": "counter", "value": bad}})
+        assert registry.names() == ["lat"]
+        with pytest.raises(ValueError, match="non-finite"):
+            registry.counter("a.done").inc(float("nan"))
+        assert registry.counter("a.done").value == 0.0
+
+    def test_series_snapshot_merge_matches_concatenated_windows(self):
+        rng = np.random.default_rng(4)
+        recorded = rng.exponential(size=20)
+        first, second = Series("lat", max_samples=8), Series("lat")
+        for value in recorded:
+            first.add(value)
+        for value in rng.exponential(size=5):
+            second.add(value)
+        # a snapshot lists the retained window oldest first
+        assert first.snapshot()["values"] == recorded[-8:].tolist()
+        snapshots = [{"lat": first.snapshot()}, {"lat": second.snapshot()}]
+        pooled = MetricsRegistry()
+        merged = pooled.series("lat")
+        pooled.merge_all(snapshots)
+        window = np.concatenate([first.values, second.values])
+        assert merged.percentiles([50, 95, 99]) == [
+            float(p) for p in np.percentile(window, [50, 95, 99])
+        ]
+        assert merged.total == 25 and len(merged) == 13
+        assert merged.peak == max(first.peak, second.peak)
+        # a series created by the merge keeps the first snapshot's ring size
+        # and appends in snapshot order, so it retains the newest 8 values
+        small = MetricsRegistry()
+        small.merge_all(snapshots)
+        appended = snapshots[0]["lat"]["values"] + snapshots[1]["lat"]["values"]
+        assert small.series("lat").snapshot()["values"] == appended[-8:]
+
     def test_merge_rejects_mismatched_bounds_and_unknown_kind(self):
         gateway = MetricsRegistry()
         gateway.histogram("lat", bounds=(1.0, 2.0))
@@ -270,6 +315,20 @@ class TestExport:
         assert by_name["requests"]["args"] == {"requests": 4}
         assert by_name["lat"]["args"] == {"lat.count": 1, "lat.sum": 0.5}
 
+    def test_metrics_series_events(self):
+        registry = MetricsRegistry()
+        for latency_ms in range(1, 101):
+            registry.series("lat").add(latency_ms)
+        registry.series("idle")
+        by_name = {event["name"]: event for event in metrics_events(registry.snapshot())}
+        assert by_name["lat"]["args"] == {
+            "lat.total": 100,
+            "lat.p50": pytest.approx(50.5),
+            "lat.p99": pytest.approx(99.01),
+        }
+        assert by_name["idle"]["args"] == {"idle.total": 0, "idle.p50": 0.0, "idle.p99": 0.0}
+        assert validate_chrome_trace(chrome_trace(metrics_snapshot=registry.snapshot())) > 0
+
     def test_validate_rejects_malformed_traces(self):
         with pytest.raises(ValueError, match="traceEvents"):
             validate_chrome_trace({"events": []})
@@ -332,11 +391,19 @@ class TestTelemetryLog:
         with pytest.raises(json.JSONDecodeError):
             log.read()
 
+    def test_len_counts_what_read_all_returns(self, tmp_path):
+        log = TelemetryLog(tmp_path / "telemetry.jsonl")
+        assert len(log) == 0
+        log.append({"submitted": 1})
+        with log.path.open("a", encoding="utf-8") as stream:
+            stream.write('{"submitted": 2, "comp')
+        assert len(log) == len(log.read_all()) == 1
+
 
 # --------------------------------------------------------------------- #
-# S3: per-worker telemetry snapshot merging
+# S3: telemetry merging through the registry
 # --------------------------------------------------------------------- #
-class TestMergeSnapshots:
+class TestTelemetryMerge:
     @staticmethod
     def worker_telemetry(name, latencies, base=0.0):
         ticks = iter([base, base + 10.0])
@@ -348,29 +415,86 @@ class TestMergeSnapshots:
         telemetry.stop()
         return telemetry
 
-    def test_merge_is_completion_weighted(self):
+    @classmethod
+    def pooled(cls, *telemetries):
+        """A telemetry over a 10 s window holding every worker's registry."""
+        pool = cls.worker_telemetry("pool", [])
+        pool.metrics.merge_all(telemetry.metrics.snapshot() for telemetry in telemetries)
+        return pool
+
+    def test_registry_merge_pools_latency_windows(self):
         a = self.worker_telemetry("w0", [0.010] * 3)
         b = self.worker_telemetry("w1", [0.030] * 1)
-        merged = merge_snapshots([a.to_snapshot(), b.to_snapshot()])
-        assert merged["workers"] == 2
+        merged = self.pooled(a, b).summary()
+        assert merged["submitted"] == 4
         assert merged["completed"] == 4
         assert merged["elapsed_s"] == pytest.approx(10.0)
         assert merged["throughput_hz"] == pytest.approx(0.4)
-        # (3*10ms + 1*30ms) / 4 completions
+        # exact over the pooled window: (3*10ms + 1*30ms) / 4 completions
         assert merged["latency"]["mean_ms"] == pytest.approx(15.0)
+        assert merged["latency"]["p99_ms"] == pytest.approx(
+            np.percentile([10.0, 10.0, 10.0, 30.0], 99)
+        )
         assert set(merged["replicas"]) == {"w0", "w1"}
+        assert merged["replicas"]["w0"]["completed"] == 3
 
-    def test_duplicate_replica_name_is_an_error(self):
+    def test_same_replica_name_sums_across_registries(self):
         a = self.worker_telemetry("w0", [0.010])
         b = self.worker_telemetry("w0", [0.020])
-        with pytest.raises(ValueError, match="more than one worker"):
-            merge_snapshots([a.to_snapshot(), b.to_snapshot()])
+        replica = self.pooled(a, b).summary()["replicas"]["w0"]
+        assert replica["completed"] == 2
+        assert replica["p50_ms"] == pytest.approx(15.0)
 
     def test_empty_merge_is_all_zeros(self):
-        merged = merge_snapshots([])
-        assert merged["workers"] == 0
+        merged = self.pooled().summary()
+        assert merged["completed"] == 0
         assert merged["throughput_hz"] == 0.0
         assert merged["latency"]["p99_ms"] == 0.0
+
+
+# --------------------------------------------------------------------- #
+# one metrics store behind both front doors
+# --------------------------------------------------------------------- #
+class TestOneMetricsStore:
+    @staticmethod
+    def assert_counters_match_stats(front, n_requests):
+        stats, metrics = front.stats(), front.telemetry.metrics
+
+        def replica_total(counter):
+            return sum(
+                metrics.get(name).value
+                for name in metrics.names()
+                if name.startswith("serving.replica.") and name.endswith("." + counter)
+            )
+
+        assert metrics.get("serving.submitted").value == stats["submitted"] == n_requests
+        assert metrics.get("serving.rejected").value == stats["rejected"] == 0
+        assert replica_total("completed") == stats["completed"] == n_requests
+        assert replica_total("expired") == stats["expired"] == 0
+        assert metrics.get("serving.latency_s").total == stats["latency"]["count"]
+
+    def test_server_and_gateway_record_into_their_registries(self):
+        weights = soc_weights()
+        columns = ensure_rng(3).integers(-5, 6, size=(8, 6)).astype(float)
+
+        async def serve(front):
+            async with front:
+                outputs = await asyncio.gather(*(front.submit(c) for c in columns))
+                self.assert_counters_match_stats(front, len(columns))
+            return np.stack(outputs)
+
+        server = InferenceServer([Replica("r0", SoCGemmEngine(make_soc(1), weights=weights))])
+        gateway = FabricGateway(
+            make_worker_specs(1, SOC_FACTORY, engine_kwargs={"weights": weights})
+        )
+        assert np.array_equal(run_async(serve(server)), run_async(serve(gateway)))
+
+    def test_server_metrics_is_its_telemetry_registry(self):
+        registry = MetricsRegistry()
+        replica = Replica("r0", GemmEngine(backend="ideal-digital", weights=np.eye(2)))
+        assert InferenceServer([replica], metrics=registry).telemetry.metrics is registry
+        with pytest.raises(ValueError, match="not both"):
+            InferenceServer([replica], metrics=registry, telemetry=ServingTelemetry())
 
 
 # --------------------------------------------------------------------- #
@@ -417,10 +541,10 @@ class TestInProcessTracing:
             span.parent_id in {o.span_id for o in offloads} for span in compute
         )
 
-        # metrics rode along: outcome counters and latency/batch histograms
-        assert metrics.counter("batcher.requests.ok").value == 3
-        assert metrics.histogram("batcher.latency_s").count == 3
-        assert metrics.histogram("batcher.batch_size").count >= 1
+        # the server's telemetry recorded into the given registry
+        assert metrics.counter("serving.replica.r0.completed").value == 3
+        assert metrics.series("serving.latency_s").total == 3
+        assert metrics.series("serving.batch_size").total >= 1
 
         # the whole tree exports to a valid Chrome trace
         assert validate_chrome_trace(chrome_trace(tracer.finished)) > 0

@@ -620,9 +620,9 @@ class TestTelemetry:
         assert "replica" in text and "p99_ms" in text
 
     def test_bounded_series_retains_recent_window_and_total(self):
-        from repro.serving.telemetry import BoundedSeries
+        from repro.obs.metrics import Series
 
-        series = BoundedSeries(max_samples=4)
+        series = Series("window", max_samples=4)
         for value in range(10):
             series.add(value)
         assert series.total == 10
@@ -1007,9 +1007,9 @@ class TestTelemetryEmptyWindows:
         assert telemetry.utilization({"r0": -3.0}) == {"r0": 0.0}
 
     def test_percentiles_s_empty_window(self):
-        from repro.serving.telemetry import LatencySeries
+        from repro.obs.metrics import Series
 
-        series = LatencySeries()
-        assert series.percentiles_s([50, 99]) == [0.0, 0.0]
-        assert series.percentile_s(99) == 0.0
-        assert series.summary()["p99_ms"] == 0.0
+        series = Series("latency_s")
+        assert series.percentiles([50, 99]) == [0.0, 0.0]
+        assert series.mean() == 0.0
+        assert ServingTelemetry().summary()["latency"]["p99_ms"] == 0.0
