@@ -83,7 +83,8 @@ def merge_spike_trains(trains: List[SpikeTrain]) -> List[Tuple[float, int]]:
     """Merge per-channel spike trains into one time-sorted event list."""
     events = []
     for train in trains:
-        events.extend((float(time), train.neuron) for time in train.times)
+        neuron = train.neuron
+        events.extend([(time, neuron) for time in train.times.tolist()])
     events.sort(key=lambda item: item[0])
     return events
 

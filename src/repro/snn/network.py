@@ -7,11 +7,16 @@ applies the STDP rule online.  This is the substrate for experiment E7:
 unsupervised learning of input patterns through STDP on PCM synaptic
 weights.
 
-The event loop stays event-driven (spikes are processed in time order),
-but all per-event synapse work is vectorised: a presynaptic spike fans out
-through one weight-matrix row, and an output spike applies the STDP update
-to one weight-matrix column, instead of touching ``n`` Python synapse
-objects one by one.
+The serial event loop (:meth:`PhotonicSNN.run`) stays event-driven
+(spikes are processed in time order), but all per-event synapse work is
+vectorised: a presynaptic spike fans out through one weight-matrix row,
+and an output spike applies the STDP update to one weight-matrix column,
+instead of touching ``n`` Python synapse objects one by one.
+
+The serving datapath (:meth:`PhotonicSNN.run_patterns`) evaluates the
+weight matrix once per batch, builds each pattern's leak factors in one
+NumPy call, and scans the fan-out in plain Python floats; it is bitwise
+equal to serial ``run`` replay, which stays the reference oracle.
 """
 
 from __future__ import annotations
@@ -176,6 +181,16 @@ class PhotonicSNN:
     # ------------------------------------------------------------------ #
     # simulation
     # ------------------------------------------------------------------ #
+    def _check_trains(self, input_trains: Sequence[SpikeTrain]) -> None:
+        """Reject a pattern with too many trains or an out-of-range channel."""
+        if len(input_trains) > self.n_inputs:
+            raise ValueError("more input trains than input channels")
+        for train in input_trains:
+            if not 0 <= train.neuron < self.n_inputs:
+                raise ValueError(
+                    f"input channel {train.neuron} outside [0, {self.n_inputs})"
+                )
+
     def run(
         self,
         input_trains: Sequence[SpikeTrain],
@@ -189,9 +204,12 @@ class PhotonicSNN:
         inhibition is applied and (if learning) STDP potentiates the
         synapses whose presynaptic spikes preceded the output spike and
         depresses later ones — one column update per output spike.
+
+        Raises ``ValueError`` before touching any state if there are more
+        trains than channels or a train's channel is outside
+        ``[0, n_inputs)``.
         """
-        if len(input_trains) > self.n_inputs:
-            raise ValueError("more input trains than input channels")
+        self._check_trains(input_trains)
         for neuron in self.neurons:
             neuron.reset()
 
@@ -262,10 +280,13 @@ class PhotonicSNN:
 
         This is the spiking analogue of ``apply_batch``: the synaptic weight
         matrix is evaluated **once** for the whole batch (serial :meth:`run`
-        re-evaluates one weight row per input event) and the event loop is
-        vectorised across patterns — step ``i`` advances every pattern's
-        ``i``-th event simultaneously, so the Python-level work scales with
-        the *longest* pattern instead of the batch's total event count.
+        re-evaluates one weight row per input event).  Each pattern then
+        costs one NumPy call for its leak-factor table — every neuron leaks
+        at every event, so the factor for each (event, neuron) pair is known
+        before the scan — and a fan-out scan in plain Python float
+        arithmetic over ``tolist()`` copies of the amplitudes and the table.
+        IEEE operations on Python floats are the ones NumPy float64 applies,
+        so nothing is rounded differently.
 
         Patterns are independent (each gets fresh neuron state, exactly as
         serial ``run`` resets the neurons), so per-pattern results are
@@ -273,94 +294,75 @@ class PhotonicSNN:
         sequential lateral-inhibition scan within each event fan-out.  The
         network's persistent pre/post spike bookkeeping and synaptic weights
         are left untouched; plasticity is applied explicitly *between* fused
-        runs via :meth:`apply_stdp_batch`.
+        runs via :meth:`apply_stdp_batch`.  Patterns with too many trains
+        or an out-of-range channel raise ``ValueError`` before any work.
         """
-        patterns = list(patterns)
+        patterns = [list(pattern) for pattern in patterns]
         for pattern in patterns:
-            if len(pattern) > self.n_inputs:
-                raise ValueError("more input trains than input channels")
+            self._check_trains(pattern)
         n_patterns = len(patterns)
         n_out = self.n_outputs
         counts = np.zeros((n_patterns, n_out), dtype=int)
         last_pre = np.full((n_patterns, self.n_inputs), np.nan)
         last_post = np.full((n_patterns, n_out), np.nan)
-        if n_patterns == 0:
-            return BatchedSNNResult(
-                spike_counts=counts, last_pre=last_pre, last_post=last_post,
-                total_input_spikes=0, total_output_spikes=0, energy_j=0.0,
-            )
-
-        events = [merge_spike_trains(list(pattern)) for pattern in patterns]
-        total_input_spikes = sum(len(sequence) for sequence in events)
-        max_events = max(len(sequence) for sequence in events)
-        # Padded event tables: one fused step advances every pattern's i-th
-        # event.  Padding times are +inf so masked lanes neither spike nor
-        # emit overflow warnings in the leak factor.
-        times = np.full((n_patterns, max_events), np.inf)
-        channels = np.zeros((n_patterns, max_events), dtype=int)
-        valid = np.zeros((n_patterns, max_events), dtype=bool)
-        for index, sequence in enumerate(events):
-            for order, (time, neuron_index) in enumerate(sequence):
-                times[index, order] = time
-                channels[index, order] = neuron_index
-                valid[index, order] = True
 
         # one weight-matrix evaluation per fused batch (the serving invariant)
-        amplitudes_all = input_amplitude * self.synapse_array.weights()
+        amplitudes = (input_amplitude * self.synapse_array.weights()).tolist()
         delay = self.synapse_array.delay
-        thresholds = np.array([neuron.threshold for neuron in self.neurons])
+        thresholds = [neuron.threshold for neuron in self.neurons]
+        refractory = [neuron.refractory_period for neuron in self.neurons]
         leak_tau = np.array([neuron.leak_time_constant for neuron in self.neurons])
-        refractory = np.array([neuron.refractory_period for neuron in self.neurons])
         spike_energy = self.neurons[0].spike_energy if self.neurons else 0.0
+        inhibition = self.inhibition
+        outputs = range(n_out)
+        total_input_spikes = 0
 
-        membrane = np.zeros((n_patterns, n_out))
-        last_update = np.zeros((n_patterns, n_out))
-        last_spike = np.full((n_patterns, n_out), np.nan)
+        for index, pattern in enumerate(patterns):
+            events = merge_spike_trains(pattern)
+            if not events:
+                continue
+            total_input_spikes += len(events)
+            arrivals = np.array([time for time, _ in events]) + delay
+            # Every neuron leaks at every event, so before event k each
+            # neuron was last updated at the running max of 0 and the
+            # earlier arrivals (fmax skips a NaN arrival, which never
+            # updates it).  Non-positive elapsed time gives exactly 1.0.
+            last_update = np.fmax.accumulate(np.concatenate(([0.0], arrivals[:-1])))
+            elapsed = np.fmax(arrivals - last_update, 0.0)
+            leak_table = np.exp(-elapsed[:, None] / leak_tau).tolist()
 
-        for step in range(max_events):
-            active = valid[:, step]
-            if not np.any(active):
-                break
-            time = times[:, step]
-            arrival = time + delay
-            pre = channels[:, step]
-            rows = np.flatnonzero(active)
-            last_pre[rows, pre[rows]] = time[rows]
-            amplitudes = amplitudes_all[pre, :]
-            # The fan-out scan stays sequential over output neurons (it is
-            # sequential in serial run: a neuron firing mid-scan inhibits
-            # neurons processed later in the same event) but vectorises over
-            # the batch dimension.
-            for post in range(n_out):
-                column = membrane[:, post]
-                elapsed = arrival - last_update[:, post]
-                leaking = active & (elapsed > 0)
-                column = np.where(
-                    leaking, column * np.exp(-elapsed / leak_tau[post]), column
-                )
-                last_update[:, post] = np.where(
-                    leaking, arrival, last_update[:, post]
-                )
-                refractory_mask = (
-                    active
-                    & np.isfinite(last_spike[:, post])
-                    & (arrival - last_spike[:, post] < refractory[post])
-                )
-                receiving = active & ~refractory_mask
-                column = np.where(receiving, column + amplitudes[:, post], column)
-                fired = receiving & (column >= thresholds[post])
-                column = np.where(fired, 0.0, column)
-                membrane[:, post] = column
-                if np.any(fired):
-                    counts[fired, post] += 1
-                    last_spike[fired, post] = arrival[fired]
-                    last_post[fired, post] = arrival[fired]
-                    if self.inhibition > 0:
-                        # decrement every *other* neuron of the fired
-                        # patterns; (x - i) + i == x restores column post
-                        # exactly, so one broadcast subtraction suffices
-                        membrane[fired, :] -= self.inhibition
-                        membrane[fired, post] += self.inhibition
+            # Sequential fan-out scan on Python floats: a neuron firing
+            # mid-scan inhibits the neurons scanned after it in the same
+            # event, before their own leak, exactly as serial run() does.
+            membrane = [0.0] * n_out
+            last_spike: List[Optional[float]] = [None] * n_out
+            fired = [0] * n_out
+            pre_times = last_pre[index].tolist()
+            for (time, pre), arrival, factors in zip(
+                events, arrivals.tolist(), leak_table
+            ):
+                pre_times[pre] = time
+                row = amplitudes[pre]
+                for post in outputs:
+                    value = membrane[post] * factors[post]
+                    spiked = last_spike[post]
+                    if spiked is not None and arrival - spiked < refractory[post]:
+                        membrane[post] = value
+                        continue
+                    value += row[post]
+                    if value >= thresholds[post]:
+                        membrane[post] = 0.0
+                        last_spike[post] = arrival
+                        fired[post] += 1
+                        if inhibition > 0:
+                            for other in outputs:
+                                if other != post:
+                                    membrane[other] -= inhibition
+                    else:
+                        membrane[post] = value
+            counts[index] = fired
+            last_pre[index] = pre_times
+            last_post[index] = [np.nan if spike is None else spike for spike in last_spike]
 
         total_output_spikes = int(counts.sum())
         return BatchedSNNResult(

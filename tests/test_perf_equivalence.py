@@ -19,8 +19,9 @@ from repro.materials.pcm import GESE, GSST, GST225, PCMMaterial
 from repro.mesh.base import MeshErrorModel
 from repro.mesh.clements import ClementsMesh
 from repro.mesh.reck import ReckMesh
-from repro.snn.encoding import merge_spike_trains, rate_encode
-from repro.snn.network import PhotonicSNN
+from repro.serving import spike_pattern_workload
+from repro.snn.encoding import SpikeTrain, merge_spike_trains, rate_encode
+from repro.snn.network import BatchedSNNResult, PhotonicSNN
 from repro.snn.neuron import PhotonicLIFNeuron
 from repro.snn.stdp import STDPRule
 from repro.snn.synapse import PhotonicSynapse
@@ -423,6 +424,139 @@ class TestSNNArrayEquivalence:
         vectorized = rule.weight_changes(deltas)
         scalars = np.array([rule.weight_change(float(d)) for d in deltas])
         assert np.allclose(vectorized, scalars, atol=0, rtol=0)
+
+
+def serial_batch(network, patterns, input_amplitude):
+    """The fused-result fields rebuilt from per-pattern serial ``run`` calls.
+
+    ``run(pattern, learning=False)`` resets the neurons and leaves the
+    weights alone, so replaying each pattern on one network is the
+    reference for :meth:`PhotonicSNN.run_patterns`.  ``last_pre`` is the
+    last time per channel of the merged events, ``last_post`` the last
+    output spike per neuron, ``energy_j`` the serial running sum.
+    """
+    counts = np.zeros((len(patterns), network.n_outputs), dtype=int)
+    last_pre = np.full((len(patterns), network.n_inputs), np.nan)
+    last_post = np.full((len(patterns), network.n_outputs), np.nan)
+    total_in = total_out = 0
+    energy = 0.0
+    for index, pattern in enumerate(patterns):
+        result = network.run(pattern, learning=False, input_amplitude=input_amplitude)
+        counts[index] = result.spike_counts()
+        for time, channel in merge_spike_trains(list(pattern)):
+            last_pre[index, channel] = time
+        for post, times in enumerate(result.output_spikes):
+            if len(times):
+                last_post[index, post] = times[-1]
+        total_in += result.total_input_spikes
+        total_out += result.total_output_spikes
+        energy += result.energy_j
+    return BatchedSNNResult(
+        spike_counts=counts, last_pre=last_pre, last_post=last_post,
+        total_input_spikes=total_in, total_output_spikes=total_out, energy_j=energy,
+    )
+
+
+def assert_same_batch(fused, reference):
+    assert np.array_equal(fused.spike_counts, reference.spike_counts)
+    assert np.array_equal(fused.last_pre, reference.last_pre, equal_nan=True)
+    assert np.array_equal(fused.last_post, reference.last_post, equal_nan=True)
+    assert fused.total_input_spikes == reference.total_input_spikes
+    assert fused.total_output_spikes == reference.total_output_spikes
+    # count x spike energy against a running sum: equal up to summation order
+    assert fused.energy_j == pytest.approx(reference.energy_j, rel=1e-12, abs=0.0)
+
+
+def log_receives(network):
+    """Record ``(refractory, fired)`` for every pulse a neuron receives.
+
+    Serial ``run`` offers each event to every neuron in order, so the log
+    splits into one ``n_outputs`` chunk per event.
+    """
+    log = []
+    for neuron in network.neurons:
+        def receive(amplitude, time, neuron=neuron, inner=neuron.receive):
+            spiked = neuron.last_spike_time
+            refractory = spiked is not None and time - spiked < neuron.refractory_period
+            fired = inner(amplitude, time)
+            log.append((refractory, fired))
+            return fired
+
+        neuron.receive = receive
+    return log
+
+
+def mixed_patterns(rng, n_inputs, count, offset=0.0):
+    """Empty, rate-coded (tied events) and irregular-gap patterns, in turn.
+
+    A negative ``offset`` shifts every spike time, so patterns start with
+    negative arrivals.
+    """
+    patterns = []
+    for index in range(count):
+        kind = index % 3
+        if kind == 0:
+            patterns.append([])
+        elif kind == 1:
+            trains = rate_encode(rng.random(n_inputs), max_spikes=6)
+            patterns.append([SpikeTrain(t.neuron, t.times + offset) for t in trains])
+        else:
+            patterns.append([
+                SpikeTrain(channel, offset + 0.25e-9 * rng.integers(0, 40, size=rng.integers(0, 5)))
+                for channel in range(n_inputs)
+            ])
+    return patterns
+
+
+class TestFusedSNNFullFieldOracle:
+    """``run_patterns`` against serial ``run`` replay on every field STDP reads."""
+
+    @pytest.mark.parametrize("inhibition", [0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("offset", [0.0, -6e-9])
+    def test_fields_match_serial_replay(self, inhibition, offset):
+        network = PhotonicSNN(10, 6, inhibition=inhibition, neuron_threshold=0.5, rng=3)
+        patterns = mixed_patterns(np.random.default_rng(17), 10, 12, offset)
+        log = log_receives(network)
+        # a weak drive integrates over several events (the leak matters);
+        # a strong one fires several neurons per event and hits refractory
+        for amplitude in (0.5, 5.0):
+            fused = network.run_patterns(patterns, input_amplitude=amplitude)
+            assert_same_batch(fused, serial_batch(network, patterns, amplitude))
+
+        n_out = network.n_outputs
+        fires_per_event = [
+            sum(fired for _, fired in log[start : start + n_out])
+            for start in range(0, len(log), n_out)
+        ]
+        assert max(fires_per_event) >= 2
+        assert any(refractory for refractory, _ in log)
+        events = [merge_spike_trains(pattern) for pattern in patterns]
+        assert any(a[0] == b[0] for seq in events for a, b in zip(seq, seq[1:]))
+        assert any(not seq for seq in events)
+        if offset < 0:
+            assert any(time + network.synapse_array.delay < 0 for seq in events for time, _ in seq)
+
+    def test_stdp_trajectory_matches_serial_replay(self):
+        fused_net = PhotonicSNN(12, 5, stdp=STDPRule(), inhibition=0.3, rng=5)
+        serial_net = PhotonicSNN(12, 5, stdp=STDPRule(), inhibition=0.3, rng=5)
+        initial = fused_net.synapse_array.fractions.copy()
+        workload = spike_pattern_workload(12, 64, rng=11)
+        rng = np.random.default_rng(21)
+        request = 0
+        for _ in range(80):
+            patterns = []
+            for _ in range(int(rng.integers(0, 9))):
+                values = workload(request) if rng.random() > 0.1 else np.zeros(12)
+                patterns.append(rate_encode(values, max_spikes=6))
+                request += 1
+            fused = fused_net.run_patterns(patterns)
+            reference = serial_batch(serial_net, patterns, 0.6)
+            assert_same_batch(fused, reference)
+            fused_net.apply_stdp_batch(fused)
+            serial_net.apply_stdp_batch(reference)
+        final = fused_net.synapse_array.fractions
+        assert not np.array_equal(final, initial)
+        assert np.array_equal(final, serial_net.synapse_array.fractions)
 
 
 def reference_phase_levels(material, n_levels, confinement, patch_length):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval.workloads import make_spike_patterns
-from repro.snn.encoding import rate_encode
+from repro.snn.encoding import SpikeTrain, rate_encode
 from repro.snn.network import PhotonicSNN
 from repro.snn.stdp import STDPRule
 
@@ -65,6 +65,34 @@ class TestSimulation:
         network = PhotonicSNN(2, 2, rng=0)
         with pytest.raises(ValueError):
             network.run(rate_encode(np.ones(3)))
+
+    @pytest.mark.parametrize("channel", [-1, 3])
+    def test_run_rejects_out_of_range_channel_before_any_state(self, channel):
+        network = PhotonicSNN(3, 2, stdp=STDPRule(), neuron_threshold=0.5, rng=0)
+        network.run(rate_encode(np.ones(3)), learning=True)
+        network.neurons[0].membrane = 0.25
+        last_pre = network._last_pre.copy()
+        last_post = network._last_post.copy()
+        fractions = network.synapse_array.fractions.copy()
+        pattern = rate_encode(np.ones(2)) + [SpikeTrain(channel, [1e-9])]
+        with pytest.raises(ValueError, match="channel"):
+            network.run(pattern, learning=True)
+        assert network.neurons[0].membrane == 0.25
+        assert np.array_equal(network._last_pre, last_pre, equal_nan=True)
+        assert np.array_equal(network._last_post, last_post, equal_nan=True)
+        assert np.array_equal(network.synapse_array.fractions, fractions)
+
+    @pytest.mark.parametrize("channel", [-1, 3])
+    def test_run_patterns_rejects_out_of_range_channel_before_any_state(self, channel):
+        network = PhotonicSNN(3, 2, rng=0)
+        network.run(rate_encode(np.ones(3)), learning=False)
+        last_pre = network._last_pre.copy()
+        fractions = network.synapse_array.fractions.copy()
+        patterns = [rate_encode(np.ones(3)), [SpikeTrain(0, [0.0]), SpikeTrain(channel, [1e-9])]]
+        with pytest.raises(ValueError, match="channel"):
+            network.run_patterns(patterns)
+        assert np.array_equal(network._last_pre, last_pre, equal_nan=True)
+        assert np.array_equal(network.synapse_array.fractions, fractions)
 
 
 class TestSTDPLearning:
