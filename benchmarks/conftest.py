@@ -7,8 +7,13 @@ qualitative shape of the result (who wins, what degrades), so a benchmark
 run doubles as a reproduction check.  Timings come from pytest-benchmark.
 """
 
+import time
+
 import numpy as np
 import pytest
+
+from repro.core.backends import IdealDigitalBackend
+from repro.system import PhotonicSoC
 
 
 @pytest.fixture
@@ -27,6 +32,34 @@ def run_once(benchmark, function, *args, **kwargs):
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def cluster(n_pes):
+    """A fresh SoC with ``n_pes`` default photonic accelerators attached."""
+    soc = PhotonicSoC()
+    for _ in range(n_pes):
+        soc.add_photonic_accelerator()
+    return soc
+
+
+class SlowDigitalBackend(IdealDigitalBackend):
+    """Exact digital product with a fixed per-call service delay.
+
+    Stands in for a congested or distant replica: functionally identical,
+    physically slower — the case cost-based routing exists for.
+    """
+
+    name = "slow-digital"
+
+    def __init__(self, delay_s: float = 0.003):
+        self.delay_s = float(delay_s)
+
+    def matmul(self, weights, inputs):
+        time.sleep(self.delay_s)
+        return super().matmul(weights, inputs)
+
+    def schedule_latency_s(self, n_columns: int) -> float:
+        return self.delay_s
+
+
 def measured_sharding_cycles(n_pes, weights, inputs, decision):
     """Simulated cycles of one GeMM under a sharding decision, exactly.
 
@@ -36,12 +69,7 @@ def measured_sharding_cycles(n_pes, weights, inputs, decision):
     batch-aware sharding contract test and ``run_bench.py``'s
     ``compiler_dag`` collector.
     """
-    from repro.system import PhotonicSoC
-
-    soc = PhotonicSoC()
-    for _ in range(n_pes):
-        soc.add_photonic_accelerator()
-    report = soc.run_tiled_gemm(
+    report = cluster(n_pes).run_tiled_gemm(
         weights, inputs,
         k_shards=decision.k_shards if decision.strategy == "k" else None,
     )
@@ -58,8 +86,6 @@ async def timed_pool_plan_run(graph, profiles, max_wait_s, column, concurrency):
     forward, and returns the elapsed seconds.  Shared by the
     branch-parallel contract test and ``run_bench.py``.
     """
-    import time
-
     from repro.compiler import compile_for_pool
     from repro.serving import GemmEngine, InferenceServer, Replica
 

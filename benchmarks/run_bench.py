@@ -1,83 +1,27 @@
 #!/usr/bin/env python
 """Run the throughput benchmark suite and persist a trajectory file.
 
-Executes ``benchmarks/test_bench_throughput.py`` under pytest-benchmark
-with ``--benchmark-json``, condenses the raw report into one record per
-benchmark (mean/min seconds and ops/s), measures the ``soc_offload``
-section (1/2/4-PE pipelined tiled-GeMM cycles and wall-time through the
-full-system simulator) and writes/extends ``BENCH_throughput.json`` at the
-repository root:
+Executes ``benchmarks/test_bench_throughput.py`` and
+``benchmarks/test_bench_serving.py`` under pytest-benchmark, condenses the
+raw report into one record per benchmark (mean/min seconds and ops/s),
+runs every collector in :data:`SECTIONS` and writes
+``BENCH_throughput.json`` at the repository root:
 
 .. code-block:: json
 
     {
       "latest": {"<bench name>": {"mean_s": ..., "min_s": ..., "ops_per_s": ...}},
-      "soc_offload": {"1pe": {"cycles": ..., "serial_cycles": ..., "wall_s": ...}},
-      "serving": {"analog-photonic": {"modes": {"batch1": ..., "dynamic": ...}}},
-      "compiler": {"plan_vs_naive": {...}, "k_sharding": {...}, "routing": {...}},
-      "compiler_dag": {"diamond": {...}, "batch_aware_sharding": {...},
-                       "branch_parallel": {...}},
-      "soc_datapath": {"k_sharding": {...}, "branch_fusion": {...}},
-      "serving_fabric": {"single_process": {...}, "fabric": {...},
-                         "saturated_speedup_fabric_vs_single_process": ...},
-      "snn_serving": {"batched_vs_serial": {...}, "served": {...},
-                      "online_stdp": {...}, "fault_campaign": {...}},
-      "observability": {"untraced_hz": ..., "traced_hz": ...,
-                        "overhead_frac": ..., "bitwise_parity": ...},
-      "adaptive": {"online_refit": {...}, "flip_point": {...}},
-      "history": [{"machine": ..., "results": {...}, "soc_offload": {...}}, ...]
+      "<section>": {...},
+      "history": [{"sha": ..., "python": ..., "numpy": ..., "results": {...}}, ...]
     }
 
-The ``serving`` section holds the traffic benchmark: offered load vs.
-achieved throughput with p50/p99 latency and queue-depth stats for
-batch-size-1 serial serving and dynamic micro-batching on each replica
-backend, plus the measured speedup at saturating offered load.
-
-The ``compiler`` section holds the model-compiler benchmark: compiled
-multi-layer plan cycles vs naive single-PE serial execution, the K-sharded
-GeMM overlap figures, and cost-based vs round-robin routing p99 latency on
-a heterogeneous 3-replica pool at saturating offered load.
-
-The ``compiler_dag`` section holds the branching-DAG benchmark: the
-diamond-graph equivalence figures on both executors, the batch-aware
-rows-vs-K sharding flip (decision and measured cycles at batch 1 vs 32),
-and the branch-parallel speedup of level dispatch over sequential
-execution on a fan-out graph served by a replica pool.
-
-The ``serving_fabric`` section holds the multi-process serving benchmark:
-the gateway-over-worker-processes fabric vs one single-process asyncio
-server on the same compute-heavy engine at a saturating offered load, with
-a bitwise request-equivalence oracle, per-worker completion counts and
-p50/p99 latency for both sides.
-
-The ``soc_datapath`` section holds the zero-copy datapath benchmark:
-staged vs descriptor-based in-place K-shard operand streaming (cycles,
-staging traffic, per-engine DMA bytes) and sequential vs branch-fused
-multi-head lowering at 2 and 4 PEs (measured and cost-model-predicted
-cycles), both with bitwise oracles.
-
-The ``snn_serving`` section holds the spiking serving benchmark: the fused
-multi-pattern run vs per-request serial runs (bitwise oracle, spikes/s),
-the served batch1-vs-dynamic sweep, online STDP reproducibility and
-updates/s, and the stuck-synapse fault-degradation curve (p99 latency and
-spike-count accuracy vs fault count) measured under live load.
-
-The ``observability`` section holds the tracing-plane benchmark: traced vs
-untraced closed-loop throughput on the compute-heavy engine, as the median
-overhead of alternating run pairs with its IQR and pair count (quick mode
-asserts a median of at most 5%), the bitwise served-output/cycle-count parity
-oracle with tracing on vs off, the Chrome-trace export validation count,
-and a drift-monitor smoke (a miscalibrated cost model must be flagged).
-
-The ``adaptive`` section holds the closed-loop replanning benchmark: the
-predicted-cycle error before vs after an online cost-model refit under
-shifted traffic (post-calibration bus contention), and the p99 latency
-across a batch-width flip-point crossing with automatic replanning on vs
-off — with a bitwise old-plan/new-plan parity oracle and an
-exactly-one-recompile contract.
-
-Future performance PRs compare their run against ``latest`` (and the
-trajectory in ``history``) to prove a speedup or catch a regression.
+Each section is the dictionary its collector returns; the collector's
+docstring says what it measures and which contracts it asserts.  Section
+values live only at the top level (git history keeps older ones), while
+``history`` appends one record per full run — the git SHA it was measured
+at, the interpreter and NumPy versions, and the condensed pytest-benchmark
+results — so a performance PR compares its run against ``latest`` and the
+trajectory to prove a speedup or catch a regression.
 
 Usage::
 
@@ -90,30 +34,89 @@ suite, and nothing written to the trajectory file.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
+import os
 import platform
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# repro lives in src/; the shared helpers in benchmarks/conftest.py
+for _path in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
+
+import numpy as np
+
+from benchmarks.conftest import (
+    SlowDigitalBackend,
+    cluster,
+    measured_sharding_cycles,
+    timed_pool_plan_run,
+)
+from repro.compiler import (
+    AdaptiveReplanner,
+    ModelGraph,
+    PlanCache,
+    RefitEvent,
+    ReplanEvent,
+    SoCCostModel,
+    choose_sharding,
+    compile_for_pool,
+    compile_for_soc,
+    profile_replicas,
+    replica_cost_fn,
+)
+from repro.compiler.costmodel import ReplicaProfile
+from repro.eval import (
+    make_diamond_graph,
+    make_fanout_graph,
+    make_gemm_workload,
+    make_layer_stack,
+    make_multi_head_graph,
+)
+from repro.obs import DriftMonitor, Tracer, chrome_trace, validate_chrome_trace
+from repro.serving import (
+    FabricGateway,
+    FaultCampaignDriver,
+    GemmEngine,
+    InferenceServer,
+    Replica,
+    SNNEngine,
+    SoCGemmEngine,
+    TelemetryLog,
+    make_column_workload,
+    make_worker_specs,
+    poisson_arrival_times,
+    run_closed_loop,
+    run_open_loop,
+    run_patterns_serial,
+    spike_pattern_workload,
+    synapse_fault_armer,
+)
+from repro.serving.fabric import ComputeHeavyBackend
+from repro.snn import PhotonicSNN, STDPRule
+from repro.utils.rng import ensure_rng
+
 BENCH_FILES = [
     Path(__file__).resolve().parent / "test_bench_throughput.py",
     Path(__file__).resolve().parent / "test_bench_serving.py",
 ]
 MAX_HISTORY = 50
+#: the keys a history record keeps (older records are trimmed to these)
+RECORD_KEYS = ("sha", "python", "numpy", "results")
 #: alternating untraced/traced run pairs behind the tracing-overhead gate
 OVERHEAD_PAIRS = 7
 
 
 def run_benchmarks(raw_json: Path) -> int:
     """Run the throughput suite with pytest-benchmark; returns the exit code."""
-    env_path = str(REPO_ROOT / "src")
-    import os
-
     env = dict(os.environ)
-    env["PYTHONPATH"] = env_path + (
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     command = [
@@ -142,30 +145,21 @@ def condense(raw_json: Path) -> dict:
     return results
 
 
-def collect_soc_offload(pe_counts=(1, 2, 4), shape=(32, 16, 16)) -> dict:
+def collect_soc_offload(quick: bool = False) -> dict:
     """Measure the pipelined multi-PE tiled GeMM on the full-system model.
 
-    For each PE count the whole offload (host MMR configuration, sharded
-    tile streams, double-buffered DMA/compute pipeline) runs once; the
-    record keeps the simulated end-to-end cycles, the serial DMA + compute
-    phase sum, the measured overlap and the simulator wall-time.
+    For each PE count (1/2/4, or 1/2 on a smaller shape in quick mode) the
+    whole offload (host MMR configuration, sharded tile streams,
+    double-buffered DMA/compute pipeline) runs once; the record keeps the
+    simulated end-to-end cycles, the serial DMA + compute phase sum, the
+    measured overlap and the simulator wall-time.
     """
-    import time
-
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.eval import make_gemm_workload
-    from repro.system import PhotonicSoC
-
-    n_rows, n_inner, n_cols = shape
-    weights, inputs = make_gemm_workload(n_rows, n_inner, n_cols, rng=0)
+    pe_counts, shape = ((1, 2), (16, 8, 8)) if quick else ((1, 2, 4), (32, 16, 16))
+    weights, inputs = make_gemm_workload(*shape, rng=0)
     golden = weights @ inputs
     section = {}
     for n_pes in pe_counts:
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
+        soc = cluster(n_pes)
         started = time.perf_counter()
         report = soc.run_tiled_gemm(weights, inputs)
         wall_s = time.perf_counter() - started
@@ -180,76 +174,23 @@ def collect_soc_offload(pe_counts=(1, 2, 4), shape=(32, 16, 16)) -> dict:
             "n_tiles": report.pipeline["n_tiles"],
             "wall_s": wall_s,
         }
+        print(
+            f"  soc_offload/{n_pes}pe: {report.cycles} cycles "
+            f"(serial {report.pipeline['serial_cycles']}, {wall_s * 1e3:.2f} ms wall)"
+        )
     return section
 
 
 def collect_soc_datapath(quick: bool = False) -> dict:
-    """Zero-copy datapath benchmark: in-place K-shards and branch fusion.
+    """Zero-copy datapath benchmark: branch-fused multi-head lowering.
 
-    Two legs, both with bitwise oracles so the trajectory never records a
-    speedup bought with wrong numbers:
-
-    * ``k_sharding``: the same K-sharded GeMM run twice on fresh 2-PE SoCs
-      — the legacy staged layout (operand slices copied to the staging
-      region) vs the descriptor-based in-place datapath (strided DMA reads
-      straight from the operand matrices).  Records cycles, staging
-      traffic and per-engine DMA bytes; the in-place run must not be
-      slower and must perform zero staging writes.
-    * ``branch_fusion``: a multi-head model compiled twice per cluster
-      size — per-branch lowering (``fuse="never"``) vs the cost-model
-      driven fused stacked offload (``fuse="auto"``).  Records measured
-      and predicted cycles; the fused plan must not be slower where the
-      model predicts a win.
+    ``branch_fusion``: a multi-head model compiled twice per cluster size —
+    per-branch lowering (``fuse="never"``) vs the cost-model driven fused
+    stacked offload (``fuse="auto"``).  Records measured and predicted
+    cycles; both plans must be bitwise exact, and the fused plan must not
+    be slower where the model predicts a win.  (The in-place K-shard
+    datapath is measured under ``compiler.k_sharding``.)
     """
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.compiler import SoCCostModel, compile_for_soc
-    from repro.eval import make_gemm_workload, make_multi_head_graph
-    from repro.system import PhotonicSoC
-
-    def cluster(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
-    # -- staged vs in-place K-sharded operand streaming ------------------- #
-    shape = (16, 16, 8) if quick else (32, 16, 16)
-    weights, inputs = make_gemm_workload(*shape, rng=0)
-    golden = weights @ inputs
-    points = {}
-    for mode in ("staged", "in-place"):
-        soc = cluster(2)
-        report = soc.run_tiled_gemm(weights, inputs, k_shards=2, k_staging=mode)
-        assert np.array_equal(report.result, golden), f"{mode} K-shard mismatch"
-        points[mode] = {
-            "cycles": report.cycles,
-            "pipelined_cycles": report.pipeline["pipelined_cycles"],
-            "serial_cycles": report.pipeline["serial_cycles"],
-            "staging_cycles": report.pipeline["staging_cycles"],
-            "staging_words": report.pipeline["staging_words"],
-            "dma_bytes_moved": {
-                name: stats["bytes_moved"] for name, stats in report.dma.items()
-            },
-        }
-    assert points["in-place"]["cycles"] <= points["staged"]["cycles"], (
-        "in-place K-sharding regressed past the staged baseline"
-    )
-    assert points["in-place"]["staging_words"] == 0, (
-        "in-place K-sharding still writes to the staging region"
-    )
-    k_sharding = {
-        "shape": list(shape),
-        "k_shards": 2,
-        "n_pes": 2,
-        "exact": True,
-        "speedup": points["staged"]["cycles"] / points["in-place"]["cycles"],
-        **points,
-    }
-
-    # -- sequential vs branch-fused multi-head lowering ------------------- #
     graph = make_multi_head_graph(n_features=12, head_sizes=(3, 3, 3, 3), rng=2)
     columns = np.arange(12 * 2).reshape(12, 2) % 7 - 3
     reference = graph.reference_forward(columns).astype(np.int64)
@@ -281,13 +222,18 @@ def collect_soc_datapath(quick: bool = False) -> dict:
             "offloads_fused": len(fused.reports),
             "offloads_sequential": len(plain.reports),
         }
+        print(
+            f"  soc_datapath/branch_fusion/{n_pes}pe: {plain.total_cycles} cycles "
+            f"sequential -> {fused.total_cycles} fused "
+            f"({len(plain.reports)} -> {len(fused.reports)} offloads)"
+        )
     branch_fusion = {
         "graph": "multi-head (12 features, 4x3 heads)",
         "n_columns": 2,
         "exact": True,
         **fusion_points,
     }
-    return {"k_sharding": k_sharding, "branch_fusion": branch_fusion}
+    return {"branch_fusion": branch_fusion}
 
 
 def collect_serving(quick: bool = False) -> dict:
@@ -301,22 +247,6 @@ def collect_serving(quick: bool = False) -> dict:
     the replica: achieved throughput there is the serving capacity, and
     ``saturated_speedup_dynamic_vs_batch1`` is the dynamic-batching win.
     """
-    import asyncio
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.serving import (
-        GemmEngine,
-        InferenceServer,
-        Replica,
-        make_column_workload,
-        poisson_arrival_times,
-        run_open_loop,
-    )
-    from repro.utils.rng import ensure_rng
-
     shape = (16, 16)
     n_requests = 60 if quick else 240
     max_batch = 64
@@ -360,8 +290,6 @@ def collect_serving(quick: bool = False) -> dict:
         }
 
     def serial_capacity_hz(backend_name):
-        import time
-
         engine = make_engine(backend_name)
         column = np.zeros((shape[1], 1))
         engine.run_batch(None, column)  # compile outside the timed window
@@ -383,29 +311,29 @@ def collect_serving(quick: bool = False) -> dict:
                 offered = multiplier * capacity
                 points.append(asyncio.run(measure(backend_name, mode, offered)))
             modes[mode] = {
-                "offered_hz": [point["offered_hz"] for point in points],
-                "achieved_hz": [point["achieved_hz"] for point in points],
-                "p50_ms": [point["p50_ms"] for point in points],
-                "p99_ms": [point["p99_ms"] for point in points],
-                "rejected": [point["rejected"] for point in points],
-                "max_queue_depth": [point["max_queue_depth"] for point in points],
-                "mean_queue_depth": [point["mean_queue_depth"] for point in points],
-                "mean_batch": [point["mean_batch"] for point in points],
+                key: [point[key] for point in points]
+                for key in (
+                    "offered_hz", "achieved_hz", "p50_ms", "p99_ms", "rejected",
+                    "max_queue_depth", "mean_queue_depth", "mean_batch",
+                )
             }
         saturated = {
             mode: modes[mode]["achieved_hz"][-1] for mode in ("batch1", "dynamic")
         }
+        speedup = (
+            saturated["dynamic"] / saturated["batch1"] if saturated["batch1"] > 0 else None
+        )
         section[backend_name] = {
             "shape": list(shape),
             "n_requests": n_requests,
             "serial_capacity_hz": capacity,
             "modes": modes,
-            "saturated_speedup_dynamic_vs_batch1": (
-                saturated["dynamic"] / saturated["batch1"]
-                if saturated["batch1"] > 0
-                else None
-            ),
+            "saturated_speedup_dynamic_vs_batch1": speedup,
         }
+        print(
+            f"  serving/{backend_name}: saturated {saturated['batch1']:.0f} req/s "
+            f"serial -> {saturated['dynamic']:.0f} req/s dynamic ({speedup or 0:.1f}x)"
+        )
     return section
 
 
@@ -429,11 +357,6 @@ def collect_serving_fabric(quick: bool = False) -> dict:
     conservative (fabric at least matches single-process) while the full
     run must clear 2x with a no-worse p99.
     """
-    import asyncio
-    import os
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
     # spawned workers re-import repro: sys.path edits do not propagate to
     # spawn children, the environment variable does
     src_path = str(REPO_ROOT / "src")
@@ -443,19 +366,6 @@ def collect_serving_fabric(quick: bool = False) -> dict:
             if os.environ.get("PYTHONPATH")
             else ""
         )
-    import numpy as np
-
-    from repro.serving import (
-        FabricGateway,
-        GemmEngine,
-        InferenceServer,
-        Replica,
-        make_column_workload,
-        make_worker_specs,
-        poisson_arrival_times,
-        run_open_loop,
-    )
-    from repro.utils.rng import ensure_rng
 
     shape = (16, 16)
     n_workers = 2 if quick else 4
@@ -476,8 +386,6 @@ def collect_serving_fabric(quick: bool = False) -> dict:
     offered_hz = (4.0 if quick else 6.0) * single_capacity_hz
 
     def make_replicas():
-        from repro.serving.fabric.engines import ComputeHeavyBackend
-
         return [
             Replica(
                 f"w{index}",
@@ -579,6 +487,12 @@ def collect_serving_fabric(quick: bool = False) -> dict:
         f"fabric p99 {fabric['p99_ms']:.1f} ms regressed past single-process "
         f"{single['p99_ms']:.1f} ms"
     )
+    print(
+        f"  serving_fabric: {single['achieved_hz']:.0f} req/s single-process -> "
+        f"{fabric['achieved_hz']:.0f} req/s across {n_workers} workers "
+        f"({speedup:.1f}x, p99 {single['p99_ms']:.0f} -> {fabric['p99_ms']:.0f} ms, "
+        f"bitwise {bitwise_identical})"
+    )
     return {
         "shape": list(shape),
         "n_workers": n_workers,
@@ -598,40 +512,10 @@ def collect_compiler(quick: bool = False) -> dict:
 
     Side-effect-free (fresh SoCs and replica pools per measurement, no
     global registry or trajectory mutation), so ``--quick`` runs it as the
-    CI smoke for the compiler subsystem.
+    CI smoke for the compiler subsystem.  ``k_sharding`` is the in-place
+    K-shard datapath (strided operand reads, no host copies): pipelined
+    vs serial cycles and the partial-product reduction, bitwise-checked.
     """
-    import asyncio
-    import time as time_mod
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.compiler import (
-        ModelGraph,
-        SoCCostModel,
-        compile_for_soc,
-        profile_replicas,
-        replica_cost_fn,
-    )
-    from repro.core.backends import IdealDigitalBackend
-    from repro.eval import make_gemm_workload, make_layer_stack
-    from repro.serving import (
-        GemmEngine,
-        InferenceServer,
-        Replica,
-        make_column_workload,
-        poisson_arrival_times,
-        run_open_loop,
-    )
-    from repro.system import PhotonicSoC
-
-    def cluster(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
     # -- compiled plan vs naive single-PE serial execution ---------------- #
     layer_sizes = [16, 16, 12, 8] if quick else [24, 32, 24, 16]
     mats = make_layer_stack(layer_sizes, rng=0)
@@ -639,10 +523,10 @@ def collect_compiler(quick: bool = False) -> dict:
     columns = np.random.default_rng(1).integers(-3, 4, size=(layer_sizes[0], 4))
     soc = cluster(2)
     cost_model = SoCCostModel.calibrate(soc)
-    started = time_mod.perf_counter()
+    started = time.perf_counter()
     plan = compile_for_soc(graph, soc, cost_model=cost_model, cache=None)
     planned = plan.run(columns)
-    plan_wall_s = time_mod.perf_counter() - started
+    plan_wall_s = time.perf_counter() - started
     naive_soc = cluster(1)
     naive = columns.astype(np.int64)
     naive_cycles = 0
@@ -664,8 +548,7 @@ def collect_compiler(quick: bool = False) -> dict:
     # -- K-sharded GeMM overlap ------------------------------------------- #
     shape = (16, 16, 8) if quick else (24, 32, 8)
     weights, inputs = make_gemm_workload(*shape, rng=0)
-    k_soc = cluster(2)
-    k_report = k_soc.run_tiled_gemm(weights, inputs, k_shards=2)
+    k_report = cluster(2).run_tiled_gemm(weights, inputs, k_shards=2)
     assert np.array_equal(k_report.result, weights @ inputs), "K-shard mismatch"
     k_sharding = {
         "shape": list(shape),
@@ -678,19 +561,6 @@ def collect_compiler(quick: bool = False) -> dict:
     }
 
     # -- cost-based vs round-robin routing on a heterogeneous pool -------- #
-    class SlowDigitalBackend(IdealDigitalBackend):
-        name = "slow-digital"
-
-        def __init__(self, delay_s):
-            self.delay_s = float(delay_s)
-
-        def matmul(self, weights, inputs):
-            time_mod.sleep(self.delay_s)
-            return super().matmul(weights, inputs)
-
-        def schedule_latency_s(self, n_columns):
-            return self.delay_s
-
     pool_shape = (12, 12)
     n_requests = 45 if quick else 120
     pool_weights = np.random.default_rng(0).normal(size=pool_shape)
@@ -759,6 +629,15 @@ def collect_compiler(quick: bool = False) -> dict:
             else None
         ),
     }
+    print(
+        f"  compiler/plan_vs_naive: {plan.total_cycles} cycles vs {naive_cycles} "
+        f"naive ({plan_vs_naive['speedup']:.1f}x, exact)\n"
+        f"  compiler/k_sharding: {k_sharding['pipelined_cycles']} pipelined vs "
+        f"{k_sharding['serial_cycles']} serial cycles "
+        f"({k_sharding['accumulate_cycles']} accumulate, exact)\n"
+        f"  compiler/routing: p99 {cost_based['p99_ms']:.2f} ms cost-based vs "
+        f"{round_robin['p99_ms']:.2f} ms round-robin"
+    )
     return {
         "plan_vs_naive": plan_vs_naive,
         "k_sharding": k_sharding,
@@ -772,32 +651,6 @@ def collect_compiler_dag(quick: bool = False) -> dict:
     Side-effect-free (fresh SoCs and replica pools per measurement), so
     ``--quick`` runs it as the CI smoke for the DAG lowering path.
     """
-    import asyncio
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    if str(REPO_ROOT) not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT))  # for benchmarks.conftest helpers
-    import numpy as np
-
-    from benchmarks.conftest import measured_sharding_cycles, timed_pool_plan_run
-    from repro.compiler import (
-        SoCCostModel,
-        choose_sharding,
-        compile_for_pool,
-        compile_for_soc,
-    )
-    from repro.compiler.costmodel import ReplicaProfile
-    from repro.eval import make_diamond_graph, make_fanout_graph
-    from repro.serving import GemmEngine, InferenceServer, Replica
-    from repro.system import PhotonicSoC
-
-    def cluster(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
     # -- diamond DAG: bitwise equivalence on both executors --------------- #
     n_features = 8 if quick else 16
     graph = make_diamond_graph(n_features, n_outputs=4, rng=0)
@@ -846,8 +699,7 @@ def collect_compiler_dag(quick: bool = False) -> dict:
 
     # -- batch-aware sharding: the decision flips and wins ---------------- #
     n_rows, n_inner = 2, 16
-    flip_soc = cluster(2)
-    cost_model = SoCCostModel.calibrate(flip_soc)
+    cost_model = SoCCostModel.calibrate(cluster(2))
     narrow = choose_sharding(n_rows, n_inner, 1, 2, cost_model=cost_model)
     wide = choose_sharding(n_rows, n_inner, 32, 2, cost_model=cost_model)
     weights = np.random.default_rng(0).integers(-3, 4, size=(n_rows, n_inner))
@@ -905,6 +757,14 @@ def collect_compiler_dag(quick: bool = False) -> dict:
         "speedup": sequential_s / levels_s if levels_s > 0 else None,
         "exact": True,
     }
+    print(
+        f"  compiler_dag/diamond: {diamond['ops']} ops in {diamond['levels']} "
+        f"levels, soc {diamond['soc_cycles']} cycles (exact on both executors)\n"
+        f"  compiler_dag/batch_aware: M={n_rows} K={n_inner} flips "
+        f"{narrow.strategy} -> {wide.strategy}{wide.k_shards} at batch 32\n"
+        f"  compiler_dag/branch_parallel: {sequential_s * 1e3:.1f} ms sequential "
+        f"-> {levels_s * 1e3:.1f} ms level dispatch"
+    )
     return {
         "diamond": diamond,
         "batch_aware_sharding": batch_aware,
@@ -936,25 +796,6 @@ def collect_snn_serving(quick: bool = False) -> dict:
       p99/accuracy degradation curve, with accuracy 1.0 required at zero
       faults and no better than that at the heaviest point.
     """
-    import asyncio
-    import time as time_mod
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.serving import (
-        FaultCampaignDriver,
-        InferenceServer,
-        Replica,
-        SNNEngine,
-        TelemetryLog,
-        run_patterns_serial,
-        spike_pattern_workload,
-        synapse_fault_armer,
-    )
-    from repro.snn import PhotonicSNN, STDPRule
-
     n_inputs, n_outputs = (12, 5) if quick else (24, 8)
     n_requests = 24 if quick else 96
     max_batch = 8 if quick else 16
@@ -981,12 +822,12 @@ def collect_snn_serving(quick: bool = False) -> dict:
     # wall-clock comparison on a possibly noisy machine: retries, then
     # assert — the fused path is exact, so batched >= serial must hold
     for attempt in range(3):
-        started = time_mod.perf_counter()
+        started = time.perf_counter()
         engine.run_batch(None, columns)
-        batched_s = time_mod.perf_counter() - started
-        started = time_mod.perf_counter()
+        batched_s = time.perf_counter() - started
+        started = time.perf_counter()
         run_patterns_serial(engine, columns)
-        serial_s = time_mod.perf_counter() - started
+        serial_s = time.perf_counter() - started
         speedup = serial_s / batched_s if batched_s > 0 else 0.0
         if speedup >= 1.0:
             break
@@ -1020,12 +861,12 @@ def collect_snn_serving(quick: bool = False) -> dict:
             max_queue_depth=4 * n_requests,
         )
         async with InferenceServer([replica]) as server:
-            started = time_mod.perf_counter()
+            started = time.perf_counter()
             futures = [
                 server.submit_nowait(workload(index)) for index in range(n_requests)
             ]
             outputs = await asyncio.gather(*futures)
-            wall_s = time_mod.perf_counter() - started
+            wall_s = time.perf_counter() - started
             telemetry = server.stats()
         return {
             "achieved_hz": n_requests / wall_s,
@@ -1059,14 +900,14 @@ def collect_snn_serving(quick: bool = False) -> dict:
             max_queue_depth=4 * n_requests,
         )
         async with InferenceServer([replica]) as server:
-            started = time_mod.perf_counter()
+            started = time.perf_counter()
             # pre-queued submission: deterministic batch composition, so
             # the STDP update order is the request order
             futures = [
                 server.submit_nowait(workload(index)) for index in range(n_requests)
             ]
             outputs = await asyncio.gather(*futures)
-            wall_s = time_mod.perf_counter() - started
+            wall_s = time.perf_counter() - started
         return (
             np.stack(outputs, axis=1),
             learning_engine.network.synapse_array.fractions.copy(),
@@ -1112,7 +953,15 @@ def collect_snn_serving(quick: bool = False) -> dict:
         "n_requests": min(n_requests, 32),
         **curve.to_dict(),
     }
-
+    print(
+        f"  snn_serving/batched_vs_serial: {serial_s * 1e3:.1f} ms serial -> "
+        f"{batched_s * 1e3:.1f} ms fused ({speedup:.1f}x, exact)\n"
+        f"  snn_serving/online_stdp: {engine_a.stdp_updates} pulse updates "
+        f"(bitwise reproducible)\n"
+        f"  snn_serving/fault_campaign: accuracy {curve.accuracies[0]:.2f} -> "
+        f"{curve.accuracies[-1]:.2f} over {fault_counts[0]} -> {fault_counts[-1]} "
+        f"stuck synapses"
+    )
     return {
         "n_inputs": n_inputs,
         "n_outputs": n_outputs,
@@ -1141,30 +990,6 @@ def collect_observability(quick: bool = False) -> dict:
     output parity, plus the exported Chrome trace validating and the
     drift monitor flagging a miscalibrated cost model.
     """
-    import asyncio
-
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.compiler import SoCCostModel
-    from repro.obs import (
-        DriftMonitor,
-        Tracer,
-        chrome_trace,
-        validate_chrome_trace,
-    )
-    from repro.serving import (
-        GemmEngine,
-        InferenceServer,
-        Replica,
-        SoCGemmEngine,
-        run_closed_loop,
-    )
-    from repro.serving.fabric import ComputeHeavyBackend
-    from repro.system import PhotonicSoC
-    from repro.utils.rng import ensure_rng
-
     shape = (12, 12)
     n_clients = 4
     requests_per_client = 12 if quick else 40
@@ -1206,10 +1031,8 @@ def collect_observability(quick: bool = False) -> dict:
 
     def serve_outputs(tracer):
         async def drive():
-            soc = PhotonicSoC()
-            soc.add_photonic_accelerator()
             engine = SoCGemmEngine(
-                soc, weights=ensure_rng(2).integers(-5, 6, size=(8, 6))
+                cluster(1), weights=ensure_rng(2).integers(-5, 6, size=(8, 6))
             )
             server = InferenceServer([Replica("r0", engine)], tracer=tracer)
             columns = ensure_rng(3).integers(-5, 6, size=(16, 6)).astype(float)
@@ -1234,17 +1057,10 @@ def collect_observability(quick: bool = False) -> dict:
 
     # drift smoke: a cost model calibrated on a 2-PE cluster mispredicts a
     # 1-PE cluster's serial tile stream, so the monitor must flag it
-    def calibrated_soc(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
-    model = SoCCostModel.calibrate(calibrated_soc(2))
+    model = SoCCostModel.calibrate(cluster(2))
     monitor = DriftMonitor(threshold=0.10, min_samples=1)
-    drift_soc = calibrated_soc(1)
     drift_engine = SoCGemmEngine(
-        drift_soc,
+        cluster(1),
         weights=ensure_rng(2).integers(-5, 6, size=(8, 6)),
         cost_model=model,
         drift_monitor=monitor,
@@ -1274,6 +1090,12 @@ def collect_observability(quick: bool = False) -> dict:
         )
         assert parity, "tracing perturbed served outputs or cycle accounting"
         assert drift_flags >= 1, "drift monitor failed to flag a miscalibrated model"
+    print(
+        f"  observability: {untraced_hz:.0f} req/s untraced -> {traced_hz:.0f} req/s "
+        f"traced (median {overhead_frac * 100:.1f}% overhead over {len(overheads)} "
+        f"pairs, IQR {(q75 - q25) * 100:.1f}%, bitwise {parity}, {trace_events} "
+        f"trace events, {drift_flags} drift flag(s))"
+    )
     return section
 
 
@@ -1299,27 +1121,6 @@ def collect_adaptive(quick: bool = False) -> dict:
       inputs, and the replan-on p99 latency across the crossing must not
       exceed replan-off (stale plan served forever).
     """
-    if str(REPO_ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-    import numpy as np
-
-    from repro.compiler import (
-        AdaptiveReplanner,
-        ModelGraph,
-        PlanCache,
-        RefitEvent,
-        ReplanEvent,
-        SoCCostModel,
-    )
-    from repro.eval import make_gemm_workload
-    from repro.system import PhotonicSoC
-
-    def cluster(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
     # -- leg 1: online refit under shifted traffic ------------------------ #
     traffic_shapes = [
         (4, 8, 2), (8, 8, 4), (6, 12, 2), (12, 8, 6), (8, 16, 4), (16, 8, 2),
@@ -1436,50 +1237,69 @@ def collect_adaptive(quick: bool = False) -> dict:
         "wide_latency_s_replan_on": on_lat[-1],
         "wide_latency_s_replan_off": off_lat[-1],
     }
+    print(
+        f"  adaptive/online_refit: predicted-cycle error {error_before:.3f} -> "
+        f"{error_after:.3f} after {len(refit_events)} refit(s) under shifted traffic\n"
+        f"  adaptive/flip_point: {len(replan_events)} recompile at the width "
+        f"crossing, p99 {p99_off * 1e6:.1f} us replan-off -> {p99_on * 1e6:.1f} us "
+        f"replan-on (bitwise)"
+    )
     return {"online_refit": online_refit, "flip_point": flip_point}
 
 
-def update_trajectory(
-    output: Path, results: dict, soc_offload: dict, serving: dict, compiler: dict,
-    compiler_dag: dict, soc_datapath: dict, serving_fabric: dict,
-    snn_serving: dict, observability: dict, adaptive: dict,
-) -> dict:
-    """Write the condensed results, appending to any existing history."""
-    record = {
-        "machine": platform.node() or "unknown",
-        "python": platform.python_version(),
-        "results": results,
-        "soc_offload": soc_offload,
-        "serving": serving,
-        "compiler": compiler,
-        "compiler_dag": compiler_dag,
-        "soc_datapath": soc_datapath,
-        "serving_fabric": serving_fabric,
-        "snn_serving": snn_serving,
-        "observability": observability,
-        "adaptive": adaptive,
-    }
-    payload = {
-        "latest": results,
-        "soc_offload": soc_offload,
-        "serving": serving,
-        "compiler": compiler,
-        "compiler_dag": compiler_dag,
-        "soc_datapath": soc_datapath,
-        "serving_fabric": serving_fabric,
-        "snn_serving": snn_serving,
-        "observability": observability,
-        "adaptive": adaptive,
-        "history": [],
-    }
+#: ``BENCH_throughput.json`` section name -> collector, in run order
+SECTIONS = {
+    "soc_offload": collect_soc_offload,
+    "serving": collect_serving,
+    "compiler": collect_compiler,
+    "compiler_dag": collect_compiler_dag,
+    "soc_datapath": collect_soc_datapath,
+    "serving_fabric": collect_serving_fabric,
+    "snn_serving": collect_snn_serving,
+    "observability": collect_observability,
+    "adaptive": collect_adaptive,
+}
+
+
+def git_sha() -> str:
+    """The checkout's ``HEAD`` commit, or ``"unknown"`` outside a git checkout."""
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=str(REPO_ROOT),
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return completed.stdout.strip() or "unknown"
+
+
+def update_trajectory(output: Path, results: dict, sections: dict) -> dict:
+    """Write ``latest`` and every section, appending one history record.
+
+    A history record holds only :data:`RECORD_KEYS`; records written by
+    older versions (which carried full section copies) are trimmed to
+    those keys.  An unreadable output file is replaced.
+    """
+    history = []
     if output.exists():
         try:
-            previous = json.loads(output.read_text())
-            payload["history"] = list(previous.get("history", []))
+            history = list(json.loads(output.read_text()).get("history", []))
         except (json.JSONDecodeError, OSError):
             pass
-    payload["history"].append(record)
-    payload["history"] = payload["history"][-MAX_HISTORY:]
+    history.append({
+        "sha": git_sha(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "results": results,
+    })
+    payload = {
+        "latest": results,
+        **sections,
+        "history": [
+            {key: record[key] for key in RECORD_KEYS if key in record}
+            for record in history[-MAX_HISTORY:]
+        ],
+    }
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
@@ -1510,144 +1330,17 @@ def main() -> int:
                 print("benchmark run produced no JSON report", file=sys.stderr)
                 return exit_code or 1
             results = condense(raw_json)
+        for name, stats in sorted(results.items()):
+            mean = stats["mean_s"]
+            print(f"  {name}: {mean * 1e3:.2f} ms/round" if mean else f"  {name}: n/a")
 
-    if args.quick:
-        soc_offload = collect_soc_offload(pe_counts=(1, 2), shape=(16, 8, 8))
-    else:
-        soc_offload = collect_soc_offload()
-    serving = collect_serving(quick=args.quick)
-    compiler = collect_compiler(quick=args.quick)
-    compiler_dag = collect_compiler_dag(quick=args.quick)
-    soc_datapath = collect_soc_datapath(quick=args.quick)
-    serving_fabric = collect_serving_fabric(quick=args.quick)
-    snn_serving = collect_snn_serving(quick=args.quick)
-    observability = collect_observability(quick=args.quick)
-    adaptive = collect_adaptive(quick=args.quick)
+    sections = {name: collect(quick=args.quick) for name, collect in SECTIONS.items()}
 
     if args.quick:
         print("quick mode: trajectory file not updated")
     else:
-        update_trajectory(
-            args.output, results, soc_offload, serving, compiler, compiler_dag,
-            soc_datapath, serving_fabric, snn_serving, observability, adaptive,
-        )
+        update_trajectory(args.output, results, sections)
         print(f"wrote {args.output} ({len(results)} benchmarks)")
-    for name, stats in sorted(results.items()):
-        mean = stats["mean_s"]
-        print(f"  {name}: {mean * 1e3:.2f} ms/round" if mean else f"  {name}: n/a")
-    for name, stats in sorted(soc_offload.items()):
-        print(
-            f"  soc_offload/{name}: {stats['cycles']} cycles "
-            f"(serial {stats['serial_cycles']}, {stats['wall_s'] * 1e3:.2f} ms wall)"
-        )
-    for backend_name, stats in sorted(serving.items()):
-        speedup = stats["saturated_speedup_dynamic_vs_batch1"]
-        batch1 = stats["modes"]["batch1"]["achieved_hz"][-1]
-        dynamic = stats["modes"]["dynamic"]["achieved_hz"][-1]
-        print(
-            f"  serving/{backend_name}: saturated {batch1:.0f} req/s serial -> "
-            f"{dynamic:.0f} req/s dynamic "
-            f"({speedup:.1f}x)" if speedup else f"  serving/{backend_name}: n/a"
-        )
-    plan = compiler["plan_vs_naive"]
-    routing = compiler["routing"]
-    print(
-        f"  compiler/plan_vs_naive: {plan['plan_cycles']} cycles vs "
-        f"{plan['naive_serial_cycles']} naive ({plan['speedup']:.1f}x, exact)"
-    )
-    print(
-        f"  compiler/routing: p99 {routing['cost_based']['p99_ms']:.2f} ms "
-        f"cost-based vs {routing['round_robin']['p99_ms']:.2f} ms round-robin "
-        f"({routing['p99_speedup']:.1f}x)"
-    )
-    diamond = compiler_dag["diamond"]
-    flip = compiler_dag["batch_aware_sharding"]
-    branches = compiler_dag["branch_parallel"]
-    print(
-        f"  compiler_dag/diamond: {diamond['ops']} ops in {diamond['levels']} "
-        f"levels, soc {diamond['soc_cycles']} cycles (exact on both executors)"
-    )
-    print(
-        f"  compiler_dag/batch_aware: M={flip['shape'][0]} K={flip['shape'][1]} "
-        f"flips {flip['batch1']['chosen']['strategy']} -> "
-        f"{flip['batch32']['chosen']['strategy']}{flip['batch32']['chosen']['k_shards']} "
-        f"at batch 32 (both measured faster: "
-        f"{flip['batch1']['chosen_faster'] and flip['batch32']['chosen_faster']})"
-    )
-    print(
-        f"  compiler_dag/branch_parallel: {branches['sequential_s'] * 1e3:.1f} ms "
-        f"sequential -> {branches['levels_s'] * 1e3:.1f} ms level dispatch "
-        f"({branches['speedup']:.1f}x)"
-    )
-    datapath_k = soc_datapath["k_sharding"]
-    print(
-        f"  soc_datapath/k_sharding: {datapath_k['staged']['cycles']} cycles "
-        f"staged -> {datapath_k['in-place']['cycles']} in-place "
-        f"({datapath_k['speedup']:.2f}x, staging words "
-        f"{datapath_k['staged']['staging_words']} -> "
-        f"{datapath_k['in-place']['staging_words']})"
-    )
-    for name, stats in sorted(soc_datapath["branch_fusion"].items()):
-        if not isinstance(stats, dict):
-            continue
-        print(
-            f"  soc_datapath/branch_fusion/{name}: "
-            f"{stats['sequential_cycles']} cycles sequential -> "
-            f"{stats['fused_cycles']} fused ({stats['speedup']:.2f}x, "
-            f"{stats['offloads_sequential']} -> {stats['offloads_fused']} offloads)"
-        )
-    print(
-        f"  serving_fabric: {serving_fabric['single_process']['achieved_hz']:.0f} "
-        f"req/s single-process -> {serving_fabric['fabric']['achieved_hz']:.0f} "
-        f"req/s across {serving_fabric['n_workers']} workers "
-        f"({serving_fabric['saturated_speedup_fabric_vs_single_process']:.1f}x, "
-        f"p99 {serving_fabric['single_process']['p99_ms']:.0f} -> "
-        f"{serving_fabric['fabric']['p99_ms']:.0f} ms, bitwise "
-        f"{serving_fabric['bitwise_identical']})"
-    )
-    snn_batch = snn_serving["batched_vs_serial"]
-    snn_stdp = snn_serving["online_stdp"]
-    snn_faults = snn_serving["fault_campaign"]
-    print(
-        f"  snn_serving/batched_vs_serial: {snn_batch['serial_s'] * 1e3:.1f} ms "
-        f"serial -> {snn_batch['batched_s'] * 1e3:.1f} ms fused "
-        f"({snn_batch['speedup']:.1f}x, {snn_batch['spikes_per_s']:.0f} spikes/s, "
-        f"exact)"
-    )
-    print(
-        f"  snn_serving/online_stdp: {snn_stdp['stdp_updates']} pulse updates "
-        f"({snn_stdp['stdp_updates_per_s']:.0f}/s, bitwise reproducible "
-        f"{snn_stdp['bitwise_reproducible']})"
-    )
-    print(
-        f"  snn_serving/fault_campaign: accuracy "
-        f"{snn_faults['accuracy'][0]:.2f} -> {snn_faults['accuracy'][-1]:.2f} "
-        f"over {snn_faults['fault_counts'][0]} -> "
-        f"{snn_faults['fault_counts'][-1]} stuck synapses"
-    )
-    print(
-        f"  observability: {observability['untraced_hz']:.0f} req/s untraced -> "
-        f"{observability['traced_hz']:.0f} req/s traced "
-        f"(median {observability['overhead_frac'] * 100:.1f}% overhead over "
-        f"{observability['overhead_pairs']} pairs, IQR "
-        f"{observability['overhead_iqr'] * 100:.1f}%, bitwise "
-        f"{observability['bitwise_parity']}, {observability['trace_events']} "
-        f"trace events, {observability['drift_flags']} drift flag(s))"
-    )
-    refit = adaptive["online_refit"]
-    flip_leg = adaptive["flip_point"]
-    print(
-        f"  adaptive/online_refit: predicted-cycle error "
-        f"{refit['predicted_cycle_rel_error_before']:.3f} -> "
-        f"{refit['predicted_cycle_rel_error_after']:.3f} after "
-        f"{refit['refits']} refit(s) under shifted traffic"
-    )
-    print(
-        f"  adaptive/flip_point: {flip_leg['recompiles']} recompile at the "
-        f"width crossing, p99 {flip_leg['p99_s_replan_off'] * 1e6:.1f} us "
-        f"replan-off -> {flip_leg['p99_s_replan_on'] * 1e6:.1f} us replan-on "
-        f"(bitwise {flip_leg['bitwise_identical']})"
-    )
     return exit_code
 
 

@@ -26,11 +26,12 @@ sections.
 """
 
 import asyncio
-import time
 
 import numpy as np
 
 from benchmarks.conftest import (
+    SlowDigitalBackend,
+    cluster,
     measured_sharding_cycles,
     run_once,
     timed_pool_plan_run,
@@ -44,7 +45,6 @@ from repro.compiler import (
     replica_cost_fn,
 )
 from repro.compiler.costmodel import ReplicaProfile
-from repro.core.backends import IdealDigitalBackend
 from repro.eval import make_fanout_graph, make_layer_stack
 from repro.serving import (
     GemmEngine,
@@ -54,34 +54,6 @@ from repro.serving import (
     poisson_arrival_times,
     run_open_loop,
 )
-from repro.system import PhotonicSoC
-
-
-class SlowDigitalBackend(IdealDigitalBackend):
-    """Exact digital product with a fixed per-call service delay.
-
-    Stands in for a congested or distant replica: functionally identical,
-    physically slower — the case cost-based routing exists for.
-    """
-
-    name = "slow-digital"
-
-    def __init__(self, delay_s: float = 0.003):
-        self.delay_s = float(delay_s)
-
-    def matmul(self, weights, inputs):
-        time.sleep(self.delay_s)
-        return super().matmul(weights, inputs)
-
-    def schedule_latency_s(self, n_columns: int) -> float:
-        return self.delay_s
-
-
-def _cluster(n_pes):
-    soc = PhotonicSoC()
-    for _ in range(n_pes):
-        soc.add_photonic_accelerator()
-    return soc
 
 
 def test_bench_k_sharded_plan_beats_naive_serial(benchmark, bench_rng):
@@ -91,14 +63,14 @@ def test_bench_k_sharded_plan_beats_naive_serial(benchmark, bench_rng):
     columns = bench_rng.integers(-3, 4, size=(24, 4))
 
     def compiled_run():
-        soc = _cluster(2)
+        soc = cluster(2)
         cost_model = SoCCostModel.calibrate(soc)
         plan = compile_for_soc(graph, soc, cost_model=cost_model, cache=None)
         return plan, plan.run(columns)
 
     plan, planned = run_once(benchmark, compiled_run)
 
-    naive_soc = _cluster(1)
+    naive_soc = cluster(1)
     naive = columns.astype(np.int64)
     naive_cycles = 0
     for weights in mats:
@@ -113,7 +85,7 @@ def test_bench_k_sharding_overlap_contract(bench_rng):
     """K-sharded GeMM: exact, and pipelined below the serial phase sum."""
     weights = bench_rng.integers(-4, 5, size=(24, 32))
     inputs = bench_rng.integers(-4, 5, size=(32, 8))
-    soc = _cluster(2)
+    soc = cluster(2)
     report = soc.run_tiled_gemm(weights, inputs, k_shards=2)
     assert np.array_equal(report.result, weights @ inputs)
     assert report.pipeline["pipelined_cycles"] < report.pipeline["serial_cycles"]
@@ -129,7 +101,7 @@ def test_bench_batch_aware_sharding_flips_and_wins(bench_rng):
     the cost model's own predictions.
     """
     n_rows, n_inner = 2, 16
-    soc = _cluster(2)
+    soc = cluster(2)
     cost_model = SoCCostModel.calibrate(soc)
     narrow = choose_sharding(n_rows, n_inner, 1, 2, cost_model=cost_model)
     wide = choose_sharding(n_rows, n_inner, 32, 2, cost_model=cost_model)

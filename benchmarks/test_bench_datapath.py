@@ -1,77 +1,28 @@
 """Benchmarks for the zero-copy offload datapath.
 
-Qualitative contracts of the descriptor-based DMA datapath and the
-branch-fused GeMM lowering — the assertions CI enforces, independent of
-machine speed because every figure is simulated cycles:
+Qualitative contract of the branch-fused GeMM lowering — the assertion CI
+enforces, independent of machine speed because every figure is simulated
+cycles:
 
-* **In-place K-sharding beats the staged baseline** — the same K-sharded
-  GeMM run with strided descriptors reading operands where they already
-  live costs fewer cycles than the legacy copy-to-staging layout, moves
-  zero staging words, and stays bitwise exact.
-* **The in-place datapath moves fewer bytes** — per-engine DMA traffic
-  (reported on every ``WorkloadReport``) shrinks when the operand copies
-  disappear.
 * **Branch fusion beats sequential lowering where the model predicts
   it** — the multi-head graph compiles to one stacked offload instead of
   one per head, runs fewer total cycles at 2 and 4 PEs, stays bitwise
   exact, and the calibrated cost model's fused-vs-serial prediction
   agrees with the measured outcome.
 
-``python benchmarks/run_bench.py`` persists the quantitative sweep into
-``BENCH_throughput.json`` under the ``soc_datapath`` section.
+The in-place K-shard datapath (strided descriptors reading operands where
+they already live) is pinned by ``tests/test_system_tiled_pipeline.py``
+(bitwise results, pipelining below the serial phase sum, the exact
+main-memory write count) and measured under ``compiler.k_sharding`` in
+``BENCH_throughput.json``.  ``python benchmarks/run_bench.py`` persists
+the branch-fusion sweep under the ``soc_datapath`` section.
 """
 
 import numpy as np
 
+from benchmarks.conftest import cluster
 from repro.compiler import SoCCostModel, compile_for_soc
-from repro.eval import make_gemm_workload, make_multi_head_graph
-from repro.system import PhotonicSoC
-
-
-def cluster(n_pes):
-    soc = PhotonicSoC()
-    for _ in range(n_pes):
-        soc.add_photonic_accelerator()
-    return soc
-
-
-def run_k_sharded(mode, shape=(32, 16, 16)):
-    weights, inputs = make_gemm_workload(*shape, rng=0)
-    soc = cluster(2)
-    report = soc.run_tiled_gemm(weights, inputs, k_shards=2, k_staging=mode)
-    assert np.array_equal(report.result, weights @ inputs)
-    return report
-
-
-class TestInPlaceKSharding:
-    def test_in_place_beats_staged_with_zero_staging_writes(self):
-        staged = run_k_sharded("staged")
-        in_place = run_k_sharded("in-place")
-        assert in_place.cycles < staged.cycles
-        assert in_place.pipeline["staging_words"] == 0
-        assert in_place.pipeline["staging_cycles"] == 0
-        assert staged.pipeline["staging_words"] > 0
-
-    def test_speedup_comes_from_staging_not_streaming(self):
-        # per-engine DMA traffic is identical — the tile streams move the
-        # same operand words either way — so the whole cycle win is the
-        # eliminated host-side staging copies, not reduced streaming
-        staged = run_k_sharded("staged")
-        in_place = run_k_sharded("in-place")
-        assert {k: v["bytes_moved"] for k, v in in_place.dma.items()} == {
-            k: v["bytes_moved"] for k, v in staged.dma.items()
-        }
-        assert staged.pipeline["staging_cycles"] >= (
-            staged.cycles - in_place.cycles
-        )
-
-    def test_both_modes_pipeline_below_serial(self):
-        for mode in ("staged", "in-place"):
-            report = run_k_sharded(mode)
-            assert (
-                report.pipeline["pipelined_cycles"]
-                < report.pipeline["serial_cycles"]
-            )
+from repro.eval import make_multi_head_graph
 
 
 class TestBranchFusedLowering:

@@ -18,7 +18,7 @@ import asyncio
 
 import numpy as np
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import cluster, run_once
 from repro.obs import (
     DriftMonitor,
     MetricsRegistry,
@@ -34,7 +34,6 @@ from repro.serving import (
     run_closed_loop,
 )
 from repro.serving.fabric import ComputeHeavyBackend
-from repro.system import PhotonicSoC
 from repro.utils.rng import ensure_rng
 
 SHAPE = (12, 12)
@@ -77,10 +76,8 @@ def serve_soc(tracer):
     """Serve a fixed workload through a SoC engine; outputs + cycles back."""
 
     async def drive():
-        soc = PhotonicSoC()
-        soc.add_photonic_accelerator()
         engine = SoCGemmEngine(
-            soc, weights=ensure_rng(2).integers(-5, 6, size=(8, 6))
+            cluster(1), weights=ensure_rng(2).integers(-5, 6, size=(8, 6))
         )
         server = InferenceServer([Replica("r0", engine)], tracer=tracer)
         columns = ensure_rng(3).integers(-5, 6, size=(12, 6)).astype(float)
@@ -133,20 +130,14 @@ def test_bench_tracing_bitwise_parity():
 def test_bench_drift_monitor_flags_miscalibration():
     from repro.compiler import SoCCostModel
 
-    def make_soc(n_pes):
-        soc = PhotonicSoC()
-        for _ in range(n_pes):
-            soc.add_photonic_accelerator()
-        return soc
-
-    model = SoCCostModel.calibrate(make_soc(2))
+    model = SoCCostModel.calibrate(cluster(2))
     weights = ensure_rng(2).integers(-5, 6, size=(8, 6))
     columns = ensure_rng(3).integers(-5, 6, size=(6, 4)).astype(float)
 
     # well-calibrated: same topology as calibration -> no flag
     calm = DriftMonitor(threshold=0.10, min_samples=1)
     matched = SoCGemmEngine(
-        make_soc(2), weights=weights, cost_model=model, drift_monitor=calm
+        cluster(2), weights=weights, cost_model=model, drift_monitor=calm
     )
     matched.run_batch(None, columns)
     assert calm.flags() == []
@@ -154,7 +145,7 @@ def test_bench_drift_monitor_flags_miscalibration():
     # miscalibrated: serial 1-PE cluster against the 2-PE model -> flagged
     monitor = DriftMonitor(threshold=0.10, min_samples=1)
     drifted = SoCGemmEngine(
-        make_soc(1), weights=weights, cost_model=model, drift_monitor=monitor
+        cluster(1), weights=weights, cost_model=model, drift_monitor=monitor
     )
     drifted.run_batch(None, columns)
     flags = monitor.flags()

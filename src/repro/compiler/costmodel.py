@@ -157,7 +157,7 @@ class CalibrationSample:
 
     The adaptive replanner collects these from live
     :class:`~repro.system.soc.WorkloadReport` instances (row-sharded runs
-    only — K-sharded reports mix in staging/accumulate phases the
+    only — K-sharded reports mix in an accumulation phase the
     calibration features don't model) and feeds them to
     :meth:`SoCCostModel.refit`.
 
@@ -647,7 +647,7 @@ class SoCCostModel:
         prediction = PlanPrediction()
         if k_shards > 1:
             slices = plan_k_shards(
-                n_rows, n_inner, n_cols, k_shards, tile_rows=tile_rows
+                n_rows, n_inner, n_cols, k_shards, 0, 0, tile_rows=tile_rows
             )
             streams: List[List] = [[] for _ in range(n_pes)]
             for piece in slices:

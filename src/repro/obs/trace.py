@@ -382,11 +382,11 @@ def attach_soc_report(
 
     Creates one ``soc:offload`` span covering the report's cycle window
     plus one child per measured pipeline phase (``soc:dma``,
-    ``soc:compute`` and, for K-sharded runs, ``soc:accumulate`` /
-    ``soc:staging``).  Phase spans carry aggregate phase durations laid
-    out from the offload start — DMA/compute genuinely overlap inside the
-    double-buffered pipeline, which is exactly what the flame chart shows
-    when the two phase tracks overlap; per-event resolution comes from the
+    ``soc:compute`` and, for K-sharded runs, ``soc:accumulate``).  Phase
+    spans carry aggregate phase durations laid out from the offload
+    start — DMA/compute genuinely overlap inside the double-buffered
+    pipeline, which is exactly what the flame chart shows when the two
+    phase tracks overlap; per-event resolution comes from the
     :class:`~repro.system.event.EventScheduler` trace exporter instead.
 
     Args:
@@ -428,9 +428,6 @@ def attach_soc_report(
         ("soc:compute", "compute_cycles", start),
     ]
     accumulate = int(pipeline.get("accumulate_cycles", 0))
-    staging = int(pipeline.get("staging_cycles", 0))
-    if staging:
-        phase_layout.append(("soc:staging", "staging_cycles", start))
     if accumulate:
         phase_layout.append(("soc:accumulate", "accumulate_cycles", end - accumulate))
     for name, key, phase_start in phase_layout:

@@ -60,11 +60,16 @@ class FabricClient:
                     future = self._stats.pop(client_id, None)
                     if future is not None and not future.done():
                         future.set_result(header.get("stats", {}))
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
+        except (asyncio.IncompleteReadError, ConnectionResetError, OSError, ValueError):
+            # EOF, reset or a corrupt frame from the gateway: the connection is done
             self._fail_all(ServerClosedError("gateway connection closed"))
         except asyncio.CancelledError:
             self._fail_all(ServerClosedError("client closed"))
             raise
+        finally:
+            # nothing can answer a later request: _send refuses it at once
+            self._closed = True
+            self._writer.close()
 
     def _fail_all(self, error: Exception) -> None:
         for future in list(self._outstanding.values()) + list(self._stats.values()):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import json
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -603,16 +604,19 @@ class FabricGateway(FrontEnd):
                     header, payload = await wire.read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     return
+                except (json.JSONDecodeError, UnicodeDecodeError):
+                    continue  # no id to answer under; the stream is still in sync
+                if not isinstance(header, dict):
+                    continue
                 kind = header.get("kind")
                 if kind == "submit":
-                    arrays = wire.unpack_arrays(header.get("arrays", []), payload)
-                    inputs = arrays[0]
-                    weights = arrays[1] if len(arrays) > 1 else None
                     client_id = header.get("id")
                     try:
+                        # a malformed frame fails only its own request
+                        arrays = wire.unpack_arrays(header.get("arrays", []), payload)
                         future = self.submit_nowait(
-                            inputs,
-                            weights=weights,
+                            arrays[0],
+                            weights=arrays[1] if len(arrays) > 1 else None,
                             deadline_s=header.get("deadline_s"),
                             replica=header.get("worker"),
                             priority=int(header.get("priority", 0)),

@@ -113,9 +113,11 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[Dict, bytes]:
             f"refusing oversized frame ({header_len + payload_len} bytes > "
             f"{MAX_FRAME_BYTES}); stream is corrupt or hostile"
         )
-    header = json.loads((await reader.readexactly(header_len)).decode("utf-8"))
+    header_bytes = await reader.readexactly(header_len)
     payload = await reader.readexactly(payload_len) if payload_len else b""
-    return header, payload
+    # decoded only once the whole frame is consumed: a bad header leaves
+    # the stream in sync for the next frame
+    return json.loads(header_bytes.decode("utf-8")), payload
 
 
 # --------------------------------------------------------------------- #

@@ -79,7 +79,7 @@ def plan_shards(
     in memory.  The default ``0`` means densely packed (pitch = ``n_inner``);
     a larger pitch means the operand is a column slice ``A[:, k0:k1]`` of a
     wider row-major matrix, which the tiles then fetch with a strided DMA
-    descriptor instead of requiring a contiguous staged copy.
+    descriptor instead of requiring a contiguous copy.
     """
     if min(n_rows, n_inner, n_cols) < 1:
         raise ValueError(
@@ -117,7 +117,7 @@ def plan_shards(
     return plans
 
 
-#: Default staging base for K-sharded operand slices and partial products.
+#: Default base address of the K-shard partial-product buffers.
 K_STAGING_ADDR = 0x0004_0000
 
 
@@ -127,11 +127,10 @@ class KShardSlice:
 
     The slice's operands are ``A[:, k_start:k_stop]`` at ``a_addr`` and
     ``B[k_start:k_stop, :]`` at ``b_addr``; its (M, N) partial product goes
-    to ``partial_addr``.  On the default in-place plan the operand
-    addresses point straight into the original matrices (the weight slice
-    is a strided view fetched by descriptor); on a staged plan they point
-    at contiguous staged copies.  ``descriptors`` is the slice's row-tiled
-    stream for one PE's double-buffered pipeline.
+    to ``partial_addr``.  The operand addresses point straight into the
+    original matrices (the weight slice is a strided view fetched by
+    descriptor).  ``descriptors`` is the slice's row-tiled stream for one
+    PE's double-buffered pipeline.
     """
 
     index: int
@@ -152,26 +151,21 @@ def plan_k_shards(
     n_inner: int,
     n_cols: int,
     k_shards: int,
+    a_addr: int,
+    b_addr: int,
     staging_addr: int = K_STAGING_ADDR,
     tile_rows: Optional[int] = None,
-    a_addr: Optional[int] = None,
-    b_addr: Optional[int] = None,
 ) -> List[KShardSlice]:
     """Split the K (inner) dimension of an (M, K, N) GeMM into PE slices.
 
     Closes the rows-only gap of :func:`plan_shards`: each slice is a full
     (M, K_s, N) sub-GeMM whose (M, N) partial product accumulates into the
-    final result.  Two operand layouts are supported:
-
-    * **Staged** (``a_addr``/``b_addr`` omitted — the historical layout):
-      operand slices live as contiguous copies laid out back-to-back from
-      ``staging_addr`` as ``[A_0 | B_0 | C_0 | A_1 | B_1 | C_1 | ...]``;
-      the caller must copy them there before launch.
-    * **In place** (``a_addr`` and ``b_addr`` given): operand slices are
-      read straight from the original matrices — ``A[:, k_start:k_stop]``
-      becomes a strided DMA descriptor (``weights_pitch = n_inner``) and
-      ``B[k_start:k_stop, :]`` a contiguous row range — so only the (M, N)
-      partial-product buffers are allocated from ``staging_addr``.
+    final result.  Operand slices are read in place from the original
+    matrices at ``a_addr``/``b_addr`` — ``A[:, k_start:k_stop]`` becomes a
+    strided DMA descriptor (``weights_pitch = n_inner``) and
+    ``B[k_start:k_stop, :]`` a contiguous row range — so only the (M, N)
+    partial-product buffers are allocated, back to back, from
+    ``staging_addr``.
 
     Every slice's stream starts with ``load_input=True`` (each slice has
     its own ``B`` operand) and row-tiles the slice exactly like
@@ -188,29 +182,17 @@ def plan_k_shards(
         raise ValueError(
             f"cannot split K={n_inner} into {k_shards} shards (need k_shards <= K)"
         )
-    if (a_addr is None) != (b_addr is None):
-        raise ValueError("in-place planning needs both a_addr and b_addr")
-    in_place = a_addr is not None
     slices: List[KShardSlice] = []
-    cursor = int(staging_addr)
+    partial_bytes = n_rows * n_cols * WORD_BYTES
     for index, columns in enumerate(np.array_split(np.arange(n_inner), k_shards)):
         k_start, k_stop = int(columns[0]), int(columns[-1]) + 1
         k_size = k_stop - k_start
-        if in_place:
-            slice_a = a_addr + k_start * WORD_BYTES
-            slice_b = b_addr + k_start * n_cols * WORD_BYTES
-            partial_addr = cursor
-            cursor = partial_addr + n_rows * n_cols * WORD_BYTES
-            weights_pitch = n_inner
-        else:
-            slice_a = cursor
-            slice_b = slice_a + n_rows * k_size * WORD_BYTES
-            partial_addr = slice_b + k_size * n_cols * WORD_BYTES
-            cursor = partial_addr + n_rows * n_cols * WORD_BYTES
-            weights_pitch = 0
+        slice_a = a_addr + k_start * WORD_BYTES
+        slice_b = b_addr + k_start * n_cols * WORD_BYTES
+        partial_addr = int(staging_addr) + index * partial_bytes
         descriptors = plan_shards(
             n_rows, k_size, n_cols, 1, slice_a, slice_b, partial_addr,
-            tile_rows=tile_rows, weights_pitch=weights_pitch,
+            tile_rows=tile_rows, weights_pitch=n_inner,
         )[0]
         slices.append(
             KShardSlice(
@@ -623,7 +605,6 @@ class PhotonicSoC:
         tile_rows: Optional[int] = None,
         irq_per_tile: bool = False,
         k_shards: Optional[int] = None,
-        k_staging: str = "in-place",
     ) -> WorkloadReport:
         """Shard the GeMM across every attached accelerator (PE cluster).
 
@@ -648,18 +629,13 @@ class PhotonicSoC:
                 the final result over the bus.  Bitwise identical to the
                 unsharded product for deterministic backends (integer
                 partial sums are exact; results must fit 32-bit words, the
-                same constraint the row-sharded path has).
-            k_staging: K-shard operand layout.  ``"in-place"`` (default)
-                streams each slice's operands straight from the original
-                matrices — the weight slice via a strided DMA descriptor —
-                with zero host staging copies; ``"staged"`` keeps the
-                historical contiguous staging copies, now charged as real
-                bus traffic so the two layouts compare apples to apples.
+                same constraint the row-sharded path has).  Each slice's
+                operands stream straight from the original matrices — the
+                weight slice via a strided DMA descriptor — with no host
+                copies.
         """
         if not self.accelerators:
             raise RuntimeError("no accelerator attached")
-        if k_staging not in ("in-place", "staged"):
-            raise ValueError(f"unknown k_staging mode {k_staging!r}")
         weights = np.asarray(weights, dtype=np.int64)
         inputs = np.asarray(inputs, dtype=np.int64)
         n_rows, n_inner = weights.shape
@@ -668,7 +644,7 @@ class PhotonicSoC:
         if k_shards is not None and int(k_shards) > 1:
             return self._run_k_sharded_gemm(
                 weights, inputs, c_addr, tile_rows, irq_per_tile, int(k_shards),
-                a_addr=a_addr, b_addr=b_addr, staged=k_staging == "staged",
+                a_addr=a_addr, b_addr=b_addr,
             )
         plans = plan_shards(
             n_rows, n_inner, n_cols, n_pes, a_addr, b_addr, c_addr, tile_rows=tile_rows
@@ -707,7 +683,6 @@ class PhotonicSoC:
         staging_addr: int = K_STAGING_ADDR,
         a_addr: int = 0x1000,
         b_addr: int = 0x4000,
-        staged: bool = False,
     ) -> WorkloadReport:
         """K-dimension sharding: per-slice partial products + accumulation.
 
@@ -719,33 +694,27 @@ class PhotonicSoC:
         pipelined-vs-serial comparison so the reported overlap is still the
         pipeline's own win.
 
-        By default the operand slices are read **in place**: the weight
-        slice ``A[:, k_start:k_stop]`` is a strided view of the row-major
-        matrix at ``a_addr``, so each tile programs ``REG_WEIGHTS_PITCH``
-        and its DMA fetch becomes one strided descriptor
+        The operand slices are read **in place**: the weight slice
+        ``A[:, k_start:k_stop]`` is a strided view of the row-major matrix
+        at ``a_addr``, so each tile programs ``REG_WEIGHTS_PITCH`` and its
+        DMA fetch becomes one strided descriptor
         (``system/dma.py:DMADescriptor``) streaming the slice straight from
         its original bus addresses; ``B[k_start:k_stop, :]`` is a
         contiguous row range of the matrix at ``b_addr`` and needs no
         descriptor at all.  Only the (M, N) partial-product buffers are
-        allocated from ``staging_addr``, and the host copies nothing.
-
-        ``staged=True`` keeps the historical layout — contiguous operand
-        copies per slice — as a measurable comparison point: the staging
-        copies are charged as real bus traffic (strided read of each weight
-        slice, bulk read of each input range, bulk writes into the staging
-        region, plus the partial-buffer zeroing the in-place path does not
-        need), using the same first-word-per-block burst accounting as the
-        accumulation phase.  Both modes are bitwise identical.
+        allocated from ``staging_addr``, and the host copies nothing —
+        not even partial zeros: every partial word is overwritten by a
+        tile's DMA write-back before the accumulation reads it (the slice
+        streams cover all M rows, and stream errors raise before any
+        partial is read).
         """
         n_rows, n_inner = weights.shape
         n_cols = inputs.shape[1]
         n_pes = len(self.accelerators)
         n_words = n_rows * n_cols
         slices = plan_k_shards(
-            n_rows, n_inner, n_cols, k_shards, staging_addr=staging_addr,
-            tile_rows=tile_rows,
-            a_addr=None if staged else a_addr,
-            b_addr=None if staged else b_addr,
+            n_rows, n_inner, n_cols, k_shards, a_addr, b_addr,
+            staging_addr=staging_addr, tile_rows=tile_rows,
         )
         needed = slices[-1].partial_addr + n_words * WORD_BYTES
         if needed > self.main_memory.size_bytes:
@@ -768,41 +737,6 @@ class PhotonicSoC:
         energy_before = self._energy_breakdown()
         instructions_before = self.cpu.stats.instructions
 
-        staging_cycles = 0
-        staging_words = 0
-        if staged:
-            # Host-side staging copies, charged with the same burst model
-            # as the accumulation phase: the first word of each block pays
-            # the access latency, the rest stream one word per cycle.  Each
-            # word crosses the bus twice (read from the original matrix,
-            # write into the staging region), and both crossings count.
-            for piece in slices:
-                n_a = n_rows * piece.k_size
-                values, per_word = self.bus.read_strided(
-                    a_addr + piece.k_start * WORD_BYTES,
-                    piece.k_size, n_rows, n_inner,
-                )
-                staging_cycles += per_word + (n_a - 1)
-                per_word = self.bus.write_block(piece.a_addr, values)
-                staging_cycles += per_word + (n_a - 1)
-                n_b = piece.k_size * n_cols
-                values, per_word = self.bus.read_block(
-                    b_addr + piece.k_start * n_cols * WORD_BYTES, n_b
-                )
-                staging_cycles += per_word + (n_b - 1)
-                per_word = self.bus.write_block(piece.b_addr, values)
-                staging_cycles += per_word + (n_b - 1)
-                # zero the partial region so a stale buffer can never alias
-                per_word = self.bus.write_block(
-                    piece.partial_addr, np.zeros(n_words, dtype=np.int64)
-                )
-                staging_cycles += per_word + (n_words - 1)
-                staging_words += 2 * (n_a + n_b) + n_words
-        # In-place mode writes no partial zeros either: every partial word
-        # is overwritten by a tile's DMA write-back before the accumulation
-        # reads it (the slice streams cover all M rows, and stream errors
-        # raise before any partial is read).
-
         host_cycles, n_tiles = self._enqueue_streams(plans, irq_per_tile)
         final_cycle = self._run_streams(plans)
 
@@ -819,22 +753,19 @@ class PhotonicSoC:
         accumulate_cycles += per_word + (n_words - 1)
 
         result = self.read_matrix(c_addr, n_rows, n_cols)
-        label = f"tiled-gemm-{n_pes}pe-k{k_shards}" + ("-staged" if staged else "")
         report = self._delta_report(
-            label,
-            final_cycle + host_cycles + staging_cycles + accumulate_cycles,
+            f"tiled-gemm-{n_pes}pe-k{k_shards}",
+            final_cycle + host_cycles + accumulate_cycles,
             result,
             energy_before,
             instructions_before,
         )
         self._pipeline_accounting(
             report, phase_snapshot, host_cycles, n_tiles,
-            extra_serial_cycles=staging_cycles + accumulate_cycles,
+            extra_serial_cycles=accumulate_cycles,
         )
         report.pipeline["k_shards"] = k_shards
         report.pipeline["accumulate_cycles"] = accumulate_cycles
-        report.pipeline["staging_cycles"] = staging_cycles
-        report.pipeline["staging_words"] = staging_words
         self._dma_accounting(report, dma_snapshot)
         return report
 

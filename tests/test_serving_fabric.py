@@ -671,3 +671,95 @@ class TestWireFrontDoor:
                     assert set(stats["fabric"]["workers"]) == {"w0", "w1"}
 
         run_async(check())
+
+    def test_malformed_submit_frames_fail_only_themselves(self):
+        # each malformed frame is answered with an error frame under its
+        # own id; the valid request beside it still completes, and the
+        # connection keeps serving
+        malformed = {
+            "empty arrays": ([], b""),
+            "object dtype": ([{"dtype": "|O", "shape": [4], "nbytes": 32}], bytes(32)),
+            "shape/nbytes mismatch": (
+                [{"dtype": "<f8", "shape": [5], "nbytes": 32}], bytes(32),
+            ),
+        }
+
+        async def check():
+            weights = demo_weights()
+            specs = make_worker_specs(
+                1, COMPUTE_HEAVY, engine_kwargs={"weights": weights}, max_batch=4
+            )
+            async with FabricGateway(specs) as gateway:
+                host, port = await gateway.start_server()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    for index, (arrays, payload) in enumerate(malformed.values()):
+                        column = np.full(4, float(index + 1))
+                        good_specs, good_payload = wire.pack_arrays([column])
+                        writer.write(wire.pack_frame(
+                            {"kind": "submit", "id": 2 * index, "arrays": good_specs},
+                            good_payload,
+                        ))
+                        writer.write(wire.pack_frame(
+                            {"kind": "submit", "id": 2 * index + 1, "arrays": arrays},
+                            payload,
+                        ))
+                        await writer.drain()
+                        answers = {}
+                        while len(answers) < 2:
+                            header, body = await asyncio.wait_for(
+                                wire.read_frame(reader), timeout=5.0
+                            )
+                            answers[header["id"]] = (header, body)
+                        header, body = answers[2 * index]
+                        assert header["kind"] == "result"
+                        (output,) = wire.unpack_arrays(header["arrays"], body)
+                        assert np.array_equal(output, weights @ column)
+                        header, _ = answers[2 * index + 1]
+                        assert header["kind"] == "error"
+                        assert isinstance(
+                            wire.decode_exception(header["error"]), ServingError
+                        )
+                    # a header that is not a JSON object carries no id: it is
+                    # dropped, and the next request is still served
+                    for junk in (json.dumps([1, 2]).encode(), b"{bad", b"\xff"):
+                        writer.write(wire.FRAME_PREFIX.pack(len(junk), 2) + junk + b"xy")
+                    good_specs, good_payload = wire.pack_arrays([np.ones(4)])
+                    writer.write(wire.pack_frame(
+                        {"kind": "submit", "id": 99, "arrays": good_specs}, good_payload
+                    ))
+                    await writer.drain()
+                    header, _ = await asyncio.wait_for(
+                        wire.read_frame(reader), timeout=5.0
+                    )
+                    assert (header["kind"], header["id"]) == ("result", 99)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+
+        run_async(check())
+
+
+class TestFabricClientLifecycle:
+    def test_submit_after_gateway_hangs_up_raises_server_closed(self):
+        async def hang_up(reader, writer):
+            await wire.read_frame(reader)  # take one request, answer none
+            writer.close()
+
+        async def check():
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                async with await FabricClient.connect(host, port) as client:
+                    in_flight = await client.submit_nowait(np.ones(4))
+                    with pytest.raises(ServerClosedError):
+                        await asyncio.wait_for(in_flight, timeout=5.0)
+                    # the read loop has ended: a new request fails at once
+                    # instead of waiting for an answer that cannot come
+                    with pytest.raises(ServerClosedError):
+                        await asyncio.wait_for(client.submit(np.ones(4)), timeout=1.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run_async(check())

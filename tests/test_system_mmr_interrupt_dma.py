@@ -252,8 +252,8 @@ class TestDMADescriptors:
 
     def test_strided_latency_equals_contiguous_of_same_word_count(self):
         # the burst model charges the whole descriptor as one transfer, so
-        # in-place strided reads cost exactly what the staged copy's
-        # contiguous read of the same words cost
+        # in-place strided reads cost exactly what a contiguous read of the
+        # same words costs
         scheduler, bus, memory, scratchpad = self._setup()
         memory.load_words(0, list(range(64)))
         dma = DMAEngine(scheduler, bus)

@@ -72,41 +72,43 @@ class TestShardPlanner:
 
 class TestKShardPlanner:
     def test_k_slices_cover_the_inner_dimension_exactly_once(self):
-        slices = plan_k_shards(8, 13, 5, 3)
+        slices = plan_k_shards(8, 13, 5, 3, 0x1000, 0x4000)
         covered = []
         for piece in slices:
             covered.extend(range(piece.k_start, piece.k_stop))
         assert sorted(covered) == list(range(13))
 
     def test_staging_regions_are_disjoint_and_ordered(self):
-        slices = plan_k_shards(8, 12, 5, 2, staging_addr=0x40000)
-        regions = []
-        for piece in slices:
-            regions.append((piece.a_addr, piece.a_addr + 8 * piece.k_size * WORD_BYTES))
-            regions.append((piece.b_addr, piece.b_addr + piece.k_size * 5 * WORD_BYTES))
-            regions.append((piece.partial_addr, piece.partial_addr + 8 * 5 * WORD_BYTES))
+        # only the (M, N) partials live in the staging region, back to back
+        slices = plan_k_shards(8, 12, 5, 3, 0x1000, 0x4000, staging_addr=0x40000)
+        regions = [
+            (piece.partial_addr, piece.partial_addr + 8 * 5 * WORD_BYTES)
+            for piece in slices
+        ]
+        assert regions[0][0] == 0x40000
         for (_, end), (start, _) in zip(regions[:-1], regions[1:]):
-            assert end <= start
+            assert end == start
 
     def test_each_slice_loads_its_own_input(self):
-        slices = plan_k_shards(8, 12, 5, 2)
+        slices = plan_k_shards(8, 12, 5, 2, 0x1000, 0x4000)
         for piece in slices:
             assert piece.descriptors[0].load_input is True
             assert all(d.inner == piece.k_size for d in piece.descriptors)
 
     def test_non_default_staging_addr_offsets_every_region(self):
-        default = plan_k_shards(8, 12, 5, 2)
-        moved = plan_k_shards(8, 12, 5, 2, staging_addr=0x80000)
+        default = plan_k_shards(8, 12, 5, 2, 0x1000, 0x4000)
+        moved = plan_k_shards(8, 12, 5, 2, 0x1000, 0x4000, staging_addr=0x80000)
         shift = 0x80000 - 0x40000
         for before, after in zip(default, moved):
-            assert after.a_addr == before.a_addr + shift
-            assert after.b_addr == before.b_addr + shift
+            # operands stay where they live; only the partials move
+            assert after.a_addr == before.a_addr
+            assert after.b_addr == before.b_addr
             assert after.partial_addr == before.partial_addr + shift
+            for old, new in zip(before.descriptors, after.descriptors):
+                assert new.output_addr == old.output_addr + shift
 
     def test_in_place_plan_reads_operands_from_their_matrices(self):
-        slices = plan_k_shards(
-            8, 12, 5, 2, staging_addr=0x80000, a_addr=0x1000, b_addr=0x4000
-        )
+        slices = plan_k_shards(8, 12, 5, 2, 0x1000, 0x4000, staging_addr=0x80000)
         for piece in slices:
             assert piece.a_addr == 0x1000 + piece.k_start * WORD_BYTES
             assert piece.b_addr == 0x4000 + piece.k_start * 5 * WORD_BYTES
@@ -116,13 +118,11 @@ class TestKShardPlanner:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="dimensions must be positive"):
-            plan_k_shards(0, 8, 4, 2)
+            plan_k_shards(0, 8, 4, 2, 0x1000, 0x4000)
         with pytest.raises(ValueError, match="k_shards"):
-            plan_k_shards(8, 8, 4, 0)
+            plan_k_shards(8, 8, 4, 0, 0x1000, 0x4000)
         with pytest.raises(ValueError, match="k_shards <= K"):
-            plan_k_shards(8, 2, 4, 3)
-        with pytest.raises(ValueError, match="in-place planning"):
-            plan_k_shards(8, 8, 4, 2, a_addr=0x1000)
+            plan_k_shards(8, 2, 4, 3, 0x1000, 0x4000)
 
 
 class TestKShardedGemm:
@@ -179,45 +179,18 @@ class TestKShardedGemm:
                 staging_addr=(1 << 20) - 0x100,
             )
 
-    def test_in_place_and_staged_results_bitwise_identical(self):
-        weights, inputs = make_gemm_workload(16, 16, 8, rng=6)
-        golden = weights @ inputs
-        in_place = _cluster(2).run_tiled_gemm(weights, inputs, k_shards=2)
-        staged = _cluster(2).run_tiled_gemm(
-            weights, inputs, k_shards=2, k_staging="staged"
-        )
-        assert np.array_equal(in_place.result, golden)
-        assert np.array_equal(staged.result, golden)
-        # deleting the staging loop is a measured win, not just fewer words
-        assert in_place.cycles < staged.cycles
-        assert in_place.pipeline["pipelined_cycles"] < in_place.pipeline["serial_cycles"]
-        assert staged.pipeline["pipelined_cycles"] < staged.pipeline["serial_cycles"]
-
-    def test_in_place_path_performs_zero_staging_writes(self):
-        weights, inputs = make_gemm_workload(16, 16, 8, rng=6)
-        soc_in_place, soc_staged = _cluster(2), _cluster(2)
-        in_place = soc_in_place.run_tiled_gemm(weights, inputs, k_shards=2)
-        staged = soc_staged.run_tiled_gemm(
-            weights, inputs, k_shards=2, k_staging="staged"
-        )
-        assert in_place.pipeline["staging_words"] == 0
-        assert in_place.pipeline["staging_cycles"] == 0
-        assert staged.pipeline["staging_words"] > 0
-        # the staged path's extra main-memory writes are exactly the staged
-        # operand copies plus the partial-region zeroing, per slice
-        per_slice = 16 * 8 + 8 * 8 + 16 * 8  # A words + B words + C words
-        assert (
-            soc_staged.main_memory.stats.writes
-            - soc_in_place.main_memory.stats.writes
-            == 2 * per_slice
-        )
-
-    def test_unknown_staging_mode_rejected(self):
-        weights, inputs = make_gemm_workload(8, 8, 4, rng=0)
-        with pytest.raises(ValueError, match="k_staging"):
-            _cluster(2).run_tiled_gemm(
-                weights, inputs, k_shards=2, k_staging="zero-copy"
-            )
+    @pytest.mark.parametrize(
+        "shape", [(16, 16, 8, 2), (12, 16, 6, 2), (8, 12, 4, 4), (24, 32, 8, 3)]
+    )
+    def test_in_place_path_performs_zero_staging_writes(self, shape):
+        # main memory sees only the tiles' partial write-backs plus the
+        # reduced result: (k_shards + 1) * M * N words, no operand copies
+        n_rows, n_inner, n_cols, k_shards = shape
+        weights, inputs = make_gemm_workload(n_rows, n_inner, n_cols, rng=6)
+        soc = _cluster(2)
+        report = soc.run_tiled_gemm(weights, inputs, k_shards=k_shards)
+        assert np.array_equal(report.result, weights @ inputs)
+        assert soc.main_memory.stats.writes == (k_shards + 1) * n_rows * n_cols
 
     def test_custom_staging_addr_round_trips(self):
         weights, inputs = make_gemm_workload(12, 8, 4, rng=7)
@@ -228,26 +201,20 @@ class TestKShardedGemm:
         )
         assert np.array_equal(report.result, weights @ inputs)
 
-    @pytest.mark.parametrize("staged", [False, True])
-    def test_staging_exactly_filling_main_memory_accepted(self, staged):
+    def test_staging_exactly_filling_main_memory_accepted(self):
         weights, inputs = make_gemm_workload(16, 16, 8, rng=8)
-        partial_bytes = 16 * 8 * WORD_BYTES
-        if staged:
-            slice_bytes = (16 * 8 + 8 * 8) * WORD_BYTES + partial_bytes
-        else:
-            slice_bytes = partial_bytes
+        slice_bytes = 16 * 8 * WORD_BYTES  # one (M, N) partial per slice
         boundary = (1 << 20) - 2 * slice_bytes  # last byte = last memory byte
         soc = _cluster(2)
         report = soc._run_k_sharded_gemm(
             weights.astype(np.int64), inputs.astype(np.int64),
-            0x8000, None, False, 2, staging_addr=boundary, staged=staged,
+            0x8000, None, False, 2, staging_addr=boundary,
         )
         assert np.array_equal(report.result, weights @ inputs)
         with pytest.raises(ValueError, match="staging region"):
             _cluster(2)._run_k_sharded_gemm(
                 weights.astype(np.int64), inputs.astype(np.int64),
-                0x8000, None, False, 2,
-                staging_addr=boundary + WORD_BYTES, staged=staged,
+                0x8000, None, False, 2, staging_addr=boundary + WORD_BYTES,
             )
 
     def test_repeated_offloads_report_per_run_cycles(self):
